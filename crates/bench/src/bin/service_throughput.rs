@@ -2,11 +2,11 @@
 //! registry.**
 //!
 //! The `warmstart` bench measures one automaton; this one measures the
-//! whole service layer: a [`SelectorService`] registry over all six
+//! whole service layer: a [`SelectorServer`] registry over all six
 //! built-in targets, fed a fixed-seed mixed-traffic batch
-//! ([`odburg_workloads::mixed_traffic`]), drained across 1/2/4/8
-//! workers — once with a cold registry and once warm-started from
-//! tables trained on exactly this traffic. Reported per run: jobs/s,
+//! ([`odburg_workloads::mixed_traffic`]) with a queue sized to the
+//! batch, served across 1/2/4/8 workers — once with a cold registry
+//! and once warm-started from tables trained on exactly this traffic. Reported per run: jobs/s,
 //! p50/p99 per-job latency, and the per-target miss counts that prove
 //! the warm registry never re-enters the grow path on the seen suite.
 //!
@@ -19,11 +19,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use odburg::service::{SelectorService, ServiceConfig};
+use odburg::service::{CompletedJob, JobHandle, SelectorServer, ServerConfig};
 use odburg_bench::{f, row, rule_line};
-use odburg_core::{persist, Labeler, OnDemandAutomaton};
+use odburg_core::{persist, Histogram, Labeler, OnDemandAutomaton};
 use odburg_grammar::NormalGrammar;
 use odburg_workloads::{mixed_traffic, TrafficJob};
 
@@ -93,28 +93,31 @@ fn main() {
     let mut runs: Vec<Run> = Vec::new();
     for &workers in &WORKER_COUNTS {
         for warm in [false, true] {
-            let svc = SelectorService::with_builtin_targets(ServiceConfig {
+            let server = SelectorServer::with_builtin_targets(ServerConfig {
                 workers,
+                queue_cap: JOBS,
                 tables_dir: warm.then(|| tables_dir.clone()),
-                ..ServiceConfig::default()
+                ..ServerConfig::default()
             });
-            // Time submission *and* drain: masters are built at first
-            // submit, so the warm registry pays its table-file loads
-            // inside this window, exactly where the cold registry pays
-            // table construction — the comparison is end to end.
+            // Time submission *and* completion: masters are built at
+            // first submit, so the warm registry pays its table-file
+            // loads inside this window, exactly where the cold registry
+            // pays table construction — the comparison is end to end.
             let t = Instant::now();
-            submit_all(&svc, &traffic);
-            let report = svc.drain();
+            let done = run_all(&server, &traffic);
+            server.wait_idle();
             let batch_ns = t.elapsed().as_nanos();
-            assert_eq!(report.failed(), 0, "sampled traffic always labels");
-            assert_eq!(report.results.len(), JOBS);
-            // Conservation recomputed purely from the telemetry registry
-            // of the batch server: every submitted job was accepted
-            // (uncapped batch queue) and completed.
-            let totals = svc
-                .telemetry()
-                .expect("drain started the batch server")
-                .totals();
+            let telemetry = Arc::clone(server.telemetry());
+            let report = server.shutdown();
+            assert!(
+                done.iter().all(|job| job.outcome.is_ok()),
+                "sampled traffic always labels"
+            );
+            assert_eq!(done.len(), JOBS);
+            // Conservation recomputed purely from the telemetry registry:
+            // every submitted job was accepted (the queue holds the whole
+            // batch) and completed.
+            let totals = telemetry.totals();
             assert!(totals.conserved(), "registry conservation: {totals:?}");
             assert_eq!(totals.accepted, JOBS as u64);
             assert_eq!(totals.completed, JOBS as u64);
@@ -126,13 +129,15 @@ fn main() {
             for t in &report.per_target {
                 assert_eq!(t.warm_started, warm, "{}: registry mode mismatch", t.target);
             }
+            let latencies: Vec<Duration> = done.iter().map(|job| job.latency).collect();
+            let latency = Histogram::from_durations(&latencies);
             let run = Run {
                 workers,
                 warm,
                 batch_ns,
                 jobs_per_s: JOBS as f64 / (batch_ns as f64 / 1e9),
-                p50_us: report.latency.p50.as_nanos() as f64 / 1e3,
-                p99_us: report.latency.p99.as_nanos() as f64 / 1e3,
+                p50_us: latency.quantile_duration(0.50).as_nanos() as f64 / 1e3,
+                p99_us: latency.quantile_duration(0.99).as_nanos() as f64 / 1e3,
                 misses,
                 nodes: total_nodes as u64,
             };
@@ -213,9 +218,15 @@ fn main() {
     );
 }
 
-fn submit_all(svc: &SelectorService, traffic: &[TrafficJob]) {
-    for job in traffic {
-        svc.submit(&job.target, job.forest.clone())
-            .expect("all traffic targets are registered");
-    }
+/// Submits the whole batch, then waits on every job.
+fn run_all(server: &SelectorServer, traffic: &[TrafficJob]) -> Vec<CompletedJob> {
+    let handles: Vec<JobHandle> = traffic
+        .iter()
+        .map(|job| {
+            server
+                .try_submit(&job.target, job.forest.clone())
+                .expect("the queue holds the whole batch")
+        })
+        .collect();
+    handles.into_iter().map(JobHandle::wait).collect()
 }

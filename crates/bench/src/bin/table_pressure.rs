@@ -8,12 +8,14 @@
 //! fresh constant mints a new signature and new transitions — tables
 //! grow forever without a budget) are driven for many rounds with a
 //! fixed **hot** job mix (the same small constant pool every round) plus
-//! **cold churn** (never-repeating constants). Both services run under
+//! **cold churn** (never-repeating constants). Both servers run under
 //! the same per-target byte budget; one enforces it with
 //! [`PressureAction::Flush`], the other with
 //! [`PressureAction::Compact`].
 //!
-//! Reported per mode: peak post-drain table bytes (must stay ≤ budget),
+//! Each round submits its jobs, waits on every one and then on the
+//! maintenance quanta they scheduled. Reported per mode: peak
+//! post-round table bytes (must stay ≤ budget),
 //! steady-state memo-miss rate over the second half of the run, the
 //! median of the steady rounds' per-batch p99 latencies, pressure-event
 //! count, and budget-policy errors (must be zero). The run asserts Compact's steady-state miss rate is at
@@ -31,9 +33,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use odburg::service::{SelectorService, ServiceConfig};
+use odburg::service::{CompletedJob, JobError, JobHandle, SelectorServer, ServerConfig};
 use odburg_bench::{f, row, rule_line};
-use odburg_core::{LabelError, MemoryBudget, PressureAction};
+use odburg_core::{LabelError, MemoryBudget, PressureAction, SharedOnDemand, WorkCounters};
 use odburg_grammar::NormalGrammar;
 use odburg_ir::{parse_sexpr, Forest};
 
@@ -109,19 +111,25 @@ fn job_forest(a: u64, b: u64, c: u64) -> Forest {
 }
 
 fn run_mode(mode: &'static str, action: PressureAction) -> ModeResult {
-    let svc = SelectorService::new(ServiceConfig {
+    let server = SelectorServer::new(ServerConfig {
         workers: 2,
+        queue_cap: TARGETS.len() * (HOT_JOBS_PER_TARGET + COLD_JOBS_PER_TARGET),
         memory_budget: Some(MemoryBudget {
             byte_budget: BYTE_BUDGET,
             action,
         }),
-        ..ServiceConfig::default()
+        ..ServerConfig::default()
     });
     let grammar = churn_grammar();
     for target in TARGETS {
-        svc.register_normal(target, Arc::clone(&grammar))
+        server
+            .register_normal(target, Arc::clone(&grammar))
             .expect("bench target names are unique");
     }
+    let masters: Vec<Arc<SharedOnDemand>> = TARGETS
+        .iter()
+        .map(|target| server.shared(target).expect("registered above"))
+        .collect();
 
     let mut result = ModeResult {
         mode,
@@ -136,46 +144,70 @@ fn run_mode(mode: &'static str, action: PressureAction) -> ModeResult {
     let mut p99s: Vec<Duration> = Vec::new();
     let mut cold = 1_000_000u64; // never overlaps the hot pool
     for round in 0..ROUNDS {
+        let before: Vec<WorkCounters> = masters.iter().map(|m| m.counters()).collect();
+        let mut handles: Vec<JobHandle> = Vec::new();
         for target in TARGETS {
             for i in 0..HOT_JOBS_PER_TARGET {
                 let base = (round as u64 + i as u64) % HOT_POOL;
-                svc.submit(
-                    target,
-                    job_forest(base, (base + 1) % HOT_POOL, (base + 2) % HOT_POOL),
-                )
-                .expect("submit hot");
+                handles.push(
+                    server
+                        .try_submit(
+                            target,
+                            job_forest(base, (base + 1) % HOT_POOL, (base + 2) % HOT_POOL),
+                        )
+                        .expect("submit hot"),
+                );
             }
             for _ in 0..COLD_JOBS_PER_TARGET {
-                svc.submit(target, job_forest(cold, cold + 1, cold + 2))
-                    .expect("submit cold");
+                handles.push(
+                    server
+                        .try_submit(target, job_forest(cold, cold + 1, cold + 2))
+                        .expect("submit cold"),
+                );
                 cold += 3;
             }
         }
-        let report = svc.drain();
-        for job in &report.results {
-            if let Err(e) = &job.outcome {
-                if matches!(e, LabelError::StateBudgetExceeded { .. }) {
+        let done: Vec<CompletedJob> = handles.into_iter().map(JobHandle::wait).collect();
+        // Table sizes below are post-enforcement.
+        server.wait_idle();
+        for job in &done {
+            match &job.outcome {
+                Ok(_) => {}
+                Err(JobError::Label(LabelError::StateBudgetExceeded { .. })) => {
                     result.budget_errors += 1;
-                } else {
-                    panic!("bench traffic must label: {e}");
                 }
+                Err(e) => panic!("bench traffic must label: {e}"),
             }
         }
         let steady = round >= ROUNDS / 2;
-        for t in &report.per_target {
-            result.peak_bytes = result.peak_bytes.max(t.table_bytes);
-            if t.pressure.is_some() {
+        for (master, before) in masters.iter().zip(&before) {
+            // This round's work on the target, its maintenance quanta
+            // included: a flush or compaction means the budget tripped.
+            let work = master.counters().since(before);
+            result.peak_bytes = result.peak_bytes.max(master.accounted_bytes().total());
+            if work.flushes + work.compactions > 0 {
                 result.pressure_events += 1;
             }
             if steady {
-                result.steady_misses += t.counters.memo_misses;
-                result.steady_nodes += t.counters.nodes;
+                result.steady_misses += work.memo_misses;
+                result.steady_nodes += work.nodes;
             }
         }
         if steady {
-            p99s.push(report.latency.p99);
+            let latencies: Vec<Duration> = done.iter().map(|job| job.latency).collect();
+            p99s.push(odburg_bench::quantile(&latencies, 0.99));
         }
     }
+    let totals = server.telemetry().totals();
+    assert!(
+        totals.conserved(),
+        "{mode}: registry conservation: {totals:?}"
+    );
+    assert_eq!(
+        totals.rejected + totals.shed,
+        0,
+        "{mode}: the queue holds a round"
+    );
     result.steady_miss_rate = result.steady_misses as f64 / result.steady_nodes.max(1) as f64;
     // Median through the shared histogram-backed quantile helper.
     result.batch_p99_median_ns = odburg_bench::quantile(&p99s, 0.5).as_nanos();

@@ -38,20 +38,22 @@
 //! `label`, `emit`, `compile` and `bench` accept `--labeler=<name>`
 //! (ondemand, ondemand-projected, shared, offline, dp, macro); every
 //! strategy is constructed and driven through the unified
-//! [`Labeler`](odburg_core::Labeler) trait via
+//! [`Labeler`] trait via
 //! [`odburg::strategy::AnyLabeler`]. They also accept `--tables=<path>`
 //! to warm-start an on-demand strategy from tables persisted by
 //! `tables export` — a mismatched or corrupted file is rejected with an
 //! error, never silently mislabeled.
 //!
-//! `batch` reads a manifest of `<target> <sexpr-file>` lines, submits
-//! every job to a [`SelectorService`] over all built-in targets (plus
-//! any `.burg` paths the manifest names), and drains the batch across
-//! a worker pool — one shot, everything accepted, a single report.
+//! `batch` reads a manifest of `<target> <sexpr-file>` lines and is a
+//! one-shot client of a [`SelectorServer`] over all built-in targets
+//! (plus any `.burg` paths the manifest names): its queue is sized to
+//! the manifest so every job is accepted, it waits on every job, and it
+//! prints a single report. Its shutdown re-exports tables into
+//! `--tables-dir` exactly as `serve`'s does.
 //!
 //! `serve` is the streaming sibling: it reads the manifest (or stdin,
 //! with `-`) **incrementally** and feeds each job to a long-running
-//! [`SelectorServer`](odburg::service::SelectorServer) with a
+//! [`SelectorServer`] with a
 //! **bounded** queue (`--queue-cap=<n>`, default 256) and per-job
 //! deadlines (`--deadline-ms=<n>`). A full queue *rejects* the job —
 //! backpressure is reported, never silently dropped — and a job whose
@@ -84,7 +86,7 @@
 //! diagnostic instead of failing jobs with `NoCover` at runtime.
 //!
 //! `cluster serve` drives the same manifest format through an in-process
-//! [`ShardCluster`](odburg::cluster::ShardCluster): `--shards=<n>`
+//! [`ShardCluster`]: `--shards=<n>`
 //! (default 3) shards behind consistent-hash routing with one writer
 //! lease per target. After the manifest drains, the writer's tables are
 //! shipped to every replica; `--listen=<addr>` then serves one joining
@@ -101,7 +103,7 @@
 //! `--budget-policy=<error|flush|compact>` picks the pressure response
 //! (default `compact`: evict cold states, keep the hot working set). On
 //! `label`, `emit` and `compile` the flags configure the labeler's
-//! [`BudgetPolicy`](odburg_core::BudgetPolicy); on `batch`/`serve` they
+//! [`BudgetPolicy`]; on `batch`/`serve` they
 //! set the service's per-target budgets, enforced in the maintenance
 //! quanta the workers run between jobs — never on the submit path.
 
@@ -778,10 +780,6 @@ fn tables_stats(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `odburg batch <manifest>`: run a multi-target job manifest through
-/// the selection service. Each manifest line is `<target> <sexpr-file>`
-/// (blank lines and `#` comments are skipped); the file's s-expressions
-/// (one per line, `#` comments allowed) form one forest = one job.
 /// Formats a manifest registration failure. When the grammar was rejected
 /// by the static verifier, first prints one stderr line per diagnostic so
 /// the offending findings are visible, not just the count.
@@ -798,29 +796,47 @@ fn registration_error(manifest: &str, lineno: usize, e: ServiceError) -> String 
     format!("{manifest}:{lineno}: {e}")
 }
 
+/// `odburg batch <manifest>`: run a multi-target job manifest through
+/// a [`SelectorServer`] as a one-shot client. Each manifest line is
+/// `<target> <sexpr-file>` (blank lines and `#` comments are skipped);
+/// the file's s-expressions (one per line, `#` comments allowed) form
+/// one forest = one job. The queue is sized to the manifest, so no job
+/// is ever rejected; every handle is waited on, then the maintenance
+/// quanta, then the server shuts down (re-exporting tables into
+/// `--tables-dir`, exactly as `serve` does).
 fn batch(
     manifest: &str,
     workers: Option<usize>,
     tables_dir: Option<&str>,
     memory_budget: Option<MemoryBudget>,
 ) -> Result<(), String> {
-    use odburg::service::{SelectorService, ServiceConfig, Ticket};
+    use std::time::{Duration, Instant};
+
+    use odburg::service::{CompletedJob, JobHandle, SelectorServer, ServerConfig};
 
     let text = std::fs::read_to_string(manifest)
         .map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
-    let svc = SelectorService::with_builtin_targets(ServiceConfig {
+    let lines: Vec<(usize, &str)> = text
+        .lines()
+        .map(str::trim)
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .collect();
+    if lines.is_empty() {
+        return Err(format!("manifest `{manifest}` contains no jobs"));
+    }
+    let server = SelectorServer::with_builtin_targets(ServerConfig {
         workers: workers.unwrap_or(0),
+        queue_cap: lines.len(),
         tables_dir: tables_dir.map(Into::into),
         memory_budget,
         analysis_policy: AnalysisPolicy::Deny,
+        ..ServerConfig::default()
     });
+    let started = Instant::now();
 
-    let mut jobs: Vec<(Ticket, String, String)> = Vec::new(); // ticket, target, file
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
+    let mut handles: Vec<(JobHandle, String)> = Vec::with_capacity(lines.len()); // handle, file
+    for (idx, line) in lines {
         let lineno = idx + 1;
         let (target, file) = line
             .split_once(char::is_whitespace)
@@ -832,9 +848,10 @@ fn batch(
 
         // Targets beyond the built-ins register on first sight — this is
         // the runtime-registration path, driven from a manifest.
-        if svc.grammar(target).is_err() {
+        if server.grammar(target).is_err() {
             let grammar = load_grammar(target).map_err(|e| format!("{manifest}:{lineno}: {e}"))?;
-            svc.register_normal(target, Arc::new(grammar.normalize()))
+            server
+                .register_normal(target, Arc::new(grammar.normalize()))
                 .map_err(|e| registration_error(manifest, lineno, e))?;
         }
 
@@ -853,45 +870,58 @@ fn batch(
         if forest.is_empty() {
             return Err(format!("{manifest}:{lineno}: {file}: no trees"));
         }
-        let ticket = svc
-            .submit(target, forest)
+        let handle = server
+            .try_submit(target, forest)
             .map_err(|e| format!("{manifest}:{lineno}: {e}"))?;
-        jobs.push((ticket, target.to_owned(), file.to_owned()));
-    }
-    if jobs.is_empty() {
-        return Err(format!("manifest `{manifest}` contains no jobs"));
+        handles.push((handle, file.to_owned()));
     }
 
-    let report = svc.drain();
+    let done: Vec<(CompletedJob, String)> = handles
+        .into_iter()
+        .map(|(handle, file)| (handle.wait(), file))
+        .collect();
+    // Per-target table sizes below are post-enforcement.
+    server.wait_idle();
+    let wall = started.elapsed();
+    let report = server.shutdown();
+
     let mut first_failure: Option<String> = None;
-    for (result, (ticket, target, file)) in report.results.iter().zip(&jobs) {
-        debug_assert_eq!(result.ticket, *ticket);
-        match result.reduce() {
+    for (job, file) in &done {
+        let target = &job.target;
+        match job.reduce() {
             Ok(red) => println!(
                 "{} {target} {file}: {} nodes, {} instructions, cost {}",
-                result.ticket,
-                result.forest.len(),
+                job.ticket,
+                job.forest.len(),
                 red.len(),
                 red.total_cost
             ),
             Err(e) => {
-                println!("{} {target} {file}: FAILED: {e}", result.ticket);
-                first_failure.get_or_insert_with(|| {
-                    format!("job {} ({target}, {file}): {e}", result.ticket)
-                });
+                println!("{} {target} {file}: FAILED: {e}", job.ticket);
+                first_failure
+                    .get_or_insert_with(|| format!("job {} ({target}, {file}): {e}", job.ticket));
             }
         }
     }
     for t in &report.per_target {
+        let mine = || done.iter().filter(|(job, _)| job.target == t.target);
+        let jobs = mine().count();
+        let nodes: usize = mine().map(|(job, _)| job.forest.len()).sum();
+        let epochs =
+            mine()
+                .filter_map(|(job, _)| job.epoch())
+                .fold(None, |range: Option<(u64, u64)>, e| {
+                    Some(range.map_or((e, e), |(lo, hi)| (lo.min(e), hi.max(e))))
+                });
         println!(
             "target {}: {} jobs, {} nodes, {} misses, {} states built, epochs {}, {}, \
              {} table bytes{}",
             t.target,
-            t.jobs,
-            t.nodes,
+            jobs,
+            nodes,
             t.counters.memo_misses,
             t.counters.states_built,
-            match t.epochs {
+            match epochs {
                 Some((lo, hi)) => format!("{lo}..{hi}"),
                 None => "-".to_owned(),
             },
@@ -914,13 +944,18 @@ fn batch(
             },
         );
     }
+    for (name, error) in &report.export_errors {
+        eprintln!("odburg: cannot export tables for `{name}`: {error}");
+    }
+    let latencies: Vec<Duration> = done.iter().map(|(job, _)| job.latency).collect();
+    let latency = Histogram::from_durations(&latencies);
     println!(
         "batch: {} jobs across {} workers in {:?} (p50 {:?}, p99 {:?})",
-        report.results.len(),
+        done.len(),
         report.workers,
-        report.wall,
-        report.latency.p50,
-        report.latency.p99,
+        wall,
+        latency.quantile_duration(0.50),
+        latency.quantile_duration(0.99),
     );
     match first_failure {
         Some(failure) => Err(failure),
@@ -929,15 +964,15 @@ fn batch(
 }
 
 /// `odburg serve <manifest|->`: stream jobs through a long-running
-/// [`SelectorServer`](odburg::service::SelectorServer). Manifest lines
-/// are read incrementally (`-` reads stdin), each job is submitted
-/// with the configured deadline against the bounded queue, completions
-/// print as they finish, and EOF triggers a graceful shutdown whose
-/// report (including the table re-exports into `--tables-dir`) closes
-/// the run. A full queue rejects the job, and under `--sched=edf` a
-/// deadline the queue already blows is shed at admission — both
-/// counted and printed, never silently lost. `--fair` adds per-target
-/// deficit-round-robin so one hot target cannot starve the rest.
+/// [`SelectorServer`]. Manifest lines are read incrementally (`-` reads
+/// stdin), each job is submitted with the configured deadline against
+/// the bounded queue, completions print as they finish, and EOF
+/// triggers a graceful shutdown whose report (including the table
+/// re-exports into `--tables-dir`) closes the run. A full queue rejects
+/// the job, and under `--sched=edf` a deadline the queue already blows
+/// is shed at admission — both counted and printed, never silently
+/// lost. `--fair` adds per-target deficit-round-robin so one hot target
+/// cannot starve the rest.
 ///
 /// Observability: the periodic stats line and the post-shutdown
 /// conservation check are sourced from the server's telemetry registry
@@ -1153,7 +1188,7 @@ fn serve(
                 totals.rejected,
                 totals.shed,
                 totals.deadline_missed,
-                server.tallies().queue_depth,
+                server.queue_depth(),
             );
             for (target, estimate, samples) in server.service_estimates() {
                 let _ = write!(line, " {target}.ewma={estimate:?}/{samples}");
@@ -1187,10 +1222,10 @@ fn serve(
             if t.warm_started { "warm" } else { "cold" },
             t.table_bytes,
             t.dense_index_bytes,
-            t.counters.maintenance_runs,
-            t.counters.deadline_misses,
-            t.counters.rejected_submits,
-            t.counters.shed_submits,
+            t.maintenance_quanta,
+            t.jobs.deadline_missed,
+            t.jobs.rejected,
+            t.jobs.shed,
             match t.service_ewma {
                 Some(estimate) => format!(", ewma {estimate:?} over {} samples", t.service_samples),
                 None => String::new(),
@@ -1228,17 +1263,12 @@ fn serve(
     );
 
     // Conservation recomputed purely from the metrics registry — no
-    // loop counter or server tally feeds this check.
+    // loop counter feeds this check.
     let totals = telemetry.totals();
     assert!(
         totals.conserved(),
         "telemetry registry must conserve jobs \
          (submitted == accepted + rejected + shed): {totals:?}"
-    );
-    assert_eq!(
-        (totals.submitted, totals.rejected, totals.shed),
-        (report.submitted, report.rejected, report.shed),
-        "telemetry registry disagrees with the server report"
     );
 
     if let Some(path) = metrics_out {

@@ -848,6 +848,45 @@ fn batch_warm_starts_from_a_tables_dir() {
 }
 
 #[test]
+fn batch_shutdown_reexports_tables_for_warm_restart() {
+    // `batch --tables-dir` follows the same table contract as `serve`:
+    // a cold run leaves `<dir>/<target>.odbt` behind, and a second run
+    // of the same manifest warm-starts from it without a single miss.
+    let dir = std::env::temp_dir().join("odburg-cli-batch-export");
+    let tables_dir = dir.join("tables");
+    let _ = std::fs::remove_dir_all(&tables_dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let tree = dir.join("rmw.sx");
+    std::fs::write(
+        &tree,
+        "(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))\n",
+    )
+    .unwrap();
+    let manifest = dir.join("jobs.txt");
+    std::fs::write(&manifest, format!("demo {}\n", tree.display())).unwrap();
+    let run = || {
+        odburg(&[
+            "batch",
+            manifest.to_str().unwrap(),
+            &format!("--tables-dir={}", tables_dir.display()),
+        ])
+    };
+
+    let (ok, stdout, stderr) = run();
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(", cold,"), "{stdout}");
+    assert!(tables_dir.join("demo.odbt").exists(), "{stdout}");
+
+    let (ok, stdout, stderr) = run();
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("target demo: 1 jobs, ") && stdout.contains(" 0 misses, 0 states built, "),
+        "{stdout}"
+    );
+    assert!(stdout.contains(", warm,"), "{stdout}");
+}
+
+#[test]
 fn batch_rejects_malformed_manifests_cleanly() {
     let dir = std::env::temp_dir().join("odburg-cli-batch-bad");
     std::fs::create_dir_all(&dir).unwrap();

@@ -42,20 +42,6 @@ pub struct WorkCounters {
     /// States evicted by compaction passes (flushes do not count here —
     /// they discard everything and are visible as `flushes`).
     pub states_evicted: u64,
-    /// Jobs completed with `DeadlineExceeded` instead of being labeled
-    /// (service counter; see `odburg::service::SelectorServer`).
-    pub deadline_misses: u64,
-    /// Submissions rejected for backpressure (`QueueFull`) or shutdown
-    /// (service counter).
-    pub rejected_submits: u64,
-    /// Submissions shed at admission because the estimated queueing wait
-    /// already exceeded the job's deadline (`Infeasible`; service
-    /// counter — distinct from `rejected_submits`, which is capacity
-    /// backpressure).
-    pub shed_submits: u64,
-    /// Maintenance quanta run between jobs (budget checks, compaction —
-    /// see [`SharedOnDemand::run_maintenance`](crate::SharedOnDemand)).
-    pub maintenance_runs: u64,
 }
 
 impl WorkCounters {
@@ -103,10 +89,6 @@ impl WorkCounters {
         self.flushes += other.flushes;
         self.compactions += other.compactions;
         self.states_evicted += other.states_evicted;
-        self.deadline_misses += other.deadline_misses;
-        self.rejected_submits += other.rejected_submits;
-        self.shed_submits += other.shed_submits;
-        self.maintenance_runs += other.maintenance_runs;
     }
 
     /// The work performed since `earlier` was captured: the field-wise
@@ -127,14 +109,6 @@ impl WorkCounters {
             flushes: self.flushes.saturating_sub(earlier.flushes),
             compactions: self.compactions.saturating_sub(earlier.compactions),
             states_evicted: self.states_evicted.saturating_sub(earlier.states_evicted),
-            deadline_misses: self.deadline_misses.saturating_sub(earlier.deadline_misses),
-            rejected_submits: self
-                .rejected_submits
-                .saturating_sub(earlier.rejected_submits),
-            shed_submits: self.shed_submits.saturating_sub(earlier.shed_submits),
-            maintenance_runs: self
-                .maintenance_runs
-                .saturating_sub(earlier.maintenance_runs),
         }
     }
 
@@ -165,10 +139,6 @@ pub struct AtomicWorkCounters {
     flushes: AtomicU64,
     compactions: AtomicU64,
     states_evicted: AtomicU64,
-    deadline_misses: AtomicU64,
-    rejected_submits: AtomicU64,
-    shed_submits: AtomicU64,
-    maintenance_runs: AtomicU64,
 }
 
 impl AtomicWorkCounters {
@@ -198,10 +168,6 @@ impl AtomicWorkCounters {
         add(&self.flushes, local.flushes);
         add(&self.compactions, local.compactions);
         add(&self.states_evicted, local.states_evicted);
-        add(&self.deadline_misses, local.deadline_misses);
-        add(&self.rejected_submits, local.rejected_submits);
-        add(&self.shed_submits, local.shed_submits);
-        add(&self.maintenance_runs, local.maintenance_runs);
     }
 
     /// A point-in-time copy of the counters.
@@ -219,10 +185,6 @@ impl AtomicWorkCounters {
             flushes: self.flushes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             states_evicted: self.states_evicted.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            rejected_submits: self.rejected_submits.load(Ordering::Relaxed),
-            shed_submits: self.shed_submits.load(Ordering::Relaxed),
-            maintenance_runs: self.maintenance_runs.load(Ordering::Relaxed),
         }
     }
 
@@ -241,10 +203,6 @@ impl AtomicWorkCounters {
             &self.flushes,
             &self.compactions,
             &self.states_evicted,
-            &self.deadline_misses,
-            &self.rejected_submits,
-            &self.shed_submits,
-            &self.maintenance_runs,
         ] {
             cell.store(0, Ordering::Relaxed);
         }
@@ -256,7 +214,7 @@ impl fmt::Display for WorkCounters {
         write!(
             f,
             "nodes={} work={} (rules={} chains={} hash={} table={} built={} hits={} misses={} dyn={} \
-             flushes={} compactions={} evicted={} deadline-missed={} rejected={} shed={} maintenance={})",
+             flushes={} compactions={} evicted={})",
             self.nodes,
             self.work_units(),
             self.rule_checks,
@@ -270,10 +228,6 @@ impl fmt::Display for WorkCounters {
             self.flushes,
             self.compactions,
             self.states_evicted,
-            self.deadline_misses,
-            self.rejected_submits,
-            self.shed_submits,
-            self.maintenance_runs,
         )
     }
 }
@@ -338,58 +292,6 @@ mod tests {
         assert_eq!(atomics.snapshot().states_evicted, 15);
         atomics.reset();
         assert_eq!(atomics.snapshot().compactions, 0);
-    }
-
-    #[test]
-    fn service_counters_flow_through_merge_since_and_atomics() {
-        let mut a = WorkCounters {
-            deadline_misses: 2,
-            rejected_submits: 5,
-            shed_submits: 4,
-            maintenance_runs: 3,
-            ..WorkCounters::default()
-        };
-        // Service outcomes are bookkeeping, not labeling work.
-        assert_eq!(a.work_units(), 0);
-        let b = WorkCounters {
-            deadline_misses: 1,
-            rejected_submits: 1,
-            shed_submits: 1,
-            maintenance_runs: 1,
-            ..WorkCounters::default()
-        };
-        a.merge(&b);
-        assert_eq!(
-            (
-                a.deadline_misses,
-                a.rejected_submits,
-                a.shed_submits,
-                a.maintenance_runs
-            ),
-            (3, 6, 5, 4)
-        );
-        let delta = a.since(&b);
-        assert_eq!(
-            (
-                delta.deadline_misses,
-                delta.rejected_submits,
-                delta.shed_submits,
-                delta.maintenance_runs
-            ),
-            (2, 5, 4, 3)
-        );
-        let atomics = AtomicWorkCounters::new();
-        atomics.merge(&a);
-        assert_eq!(atomics.snapshot().maintenance_runs, 4);
-        assert_eq!(atomics.snapshot().shed_submits, 5);
-        let shown = format!("{a}");
-        assert!(shown.contains("deadline-missed=3"), "{shown}");
-        assert!(shown.contains("rejected=6"), "{shown}");
-        assert!(shown.contains("shed=5"), "{shown}");
-        assert!(shown.contains("maintenance=4"), "{shown}");
-        atomics.reset();
-        assert_eq!(atomics.snapshot().rejected_submits, 0);
-        assert_eq!(atomics.snapshot().shed_submits, 0);
     }
 
     #[test]

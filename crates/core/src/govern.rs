@@ -22,7 +22,7 @@
 //!   [`SharedOnDemand`](crate::SharedOnDemand) fast path, merged once
 //!   per forest). Heat is scoped to an epoch: a flush drops it, a
 //!   compaction carries it across — halved, so stale heat decays.
-//! * **Compaction** — [`compact_tables`] (driving
+//! * **Compaction** — `compact_tables` (driving
 //!   [`OnDemandAutomaton::compact`](crate::OnDemandAutomaton::compact))
 //!   rebuilds the tables retaining only the hottest states that fit a
 //!   byte target, remapping `StateId`s, projection ids and `SigId`s

@@ -65,9 +65,9 @@ pub enum BudgetPolicy {
     ///   with the master's and restarts the forest from scratch on a
     ///   mismatch (labelings never mix state ids across epochs);
     /// * callers that hold labelings across forests should use
-    ///   [`SharedOnDemand::label_forest_pinned`]
-    ///   (crate::SharedOnDemand::label_forest_pinned), which returns the
-    ///   labeling together with the exact snapshot it refers to.
+    ///   [`SharedOnDemand::label_forest_pinned`](crate::SharedOnDemand::label_forest_pinned),
+    ///   which returns the labeling together with the exact snapshot it
+    ///   refers to.
     Flush,
     /// Keep the tables under a **byte budget** by evicting cold states
     /// instead of wiping everything: when the accounted bytes
@@ -264,9 +264,9 @@ impl OnDemandAutomaton {
 
     /// The current epoch. State ids are only meaningful within one
     /// epoch; a [`clear`](OnDemandAutomaton::clear) (or a
-    /// [`BudgetPolicy::Flush`]) and a [`compact`]
-    /// (OnDemandAutomaton::compact) (or [`BudgetPolicy::Compact`]) each
-    /// start the next one.
+    /// [`BudgetPolicy::Flush`]) and a
+    /// [`compact`](OnDemandAutomaton::compact) (or
+    /// [`BudgetPolicy::Compact`]) each start the next one.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -337,10 +337,11 @@ impl OnDemandAutomaton {
     }
 
     /// Per-component byte accounting of the current tables — the number
-    /// [`BudgetPolicy::Compact`] and service [`MemoryBudget`]
-    /// (crate::MemoryBudget)s compare against. Computed the same way for
-    /// live masters, published snapshots ([`SnapshotStats::bytes`]
-    /// (crate::SnapshotStats)) and persisted table files
+    /// [`BudgetPolicy::Compact`] and service
+    /// [`MemoryBudget`](crate::MemoryBudget)s compare against. Computed
+    /// the same way for live masters, published snapshots
+    /// ([`SnapshotStats::bytes`](crate::SnapshotStats::bytes)) and
+    /// persisted table files
     /// ([`persist::inspect_tables`](crate::persist::inspect_tables)).
     pub fn accounted_bytes(&self) -> ComponentBytes {
         govern::account_tables(&self.table_view())

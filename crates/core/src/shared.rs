@@ -114,8 +114,7 @@ impl std::error::Error for InstallError {}
 
 /// The snapshot-based shared on-demand automaton.
 ///
-/// Wrap it in an `Arc` and hand clones to compilation threads; see the
-/// [module docs](self) for the design.
+/// Wrap it in an `Arc` and hand clones to compilation threads.
 ///
 /// # Examples
 ///
@@ -537,23 +536,6 @@ impl SharedOnDemand {
             scope.emit(event.action.event_kind(), event.bytes_after as u64);
         }
         Some(event)
-    }
-
-    /// Runs one **maintenance quantum**: the off-path slot a serving
-    /// worker gives this automaton *between* jobs. The quantum is
-    /// counted ([`WorkCounters::maintenance_runs`]) whether or not
-    /// anything needed doing, so a report can prove governance ran in
-    /// worker quanta rather than on the submit/complete hot path; when a
-    /// `budget` is supplied and the accounted bytes exceed it, the
-    /// configured [`PressureAction`] runs exactly as
-    /// [`enforce_budget`](Self::enforce_budget) would. Pinned labelings
-    /// are unaffected either way.
-    pub fn run_maintenance(&self, budget: Option<&MemoryBudget>) -> Option<PressureEvent> {
-        self.counters.merge(&WorkCounters {
-            maintenance_runs: 1,
-            ..WorkCounters::default()
-        });
-        budget.and_then(|b| self.enforce_budget(b))
     }
 
     /// Per-component byte accounting of the master's tables (takes the
@@ -1141,26 +1123,24 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_quanta_are_counted_and_enforce_budgets() {
+    fn enforce_budget_leaves_tables_alone_under_a_roomy_budget() {
         let shared = SharedOnDemand::new(churn_automaton());
         shared
             .label_forest(&forest("(StoreI8 (ConstI8 1) (ConstI8 2))"))
             .unwrap();
-        // A budget-less quantum is counted but changes nothing.
+        // A roomy budget: no pressure, no new epoch, same bytes.
         let bytes = shared.accounted_bytes().total();
-        assert!(shared.run_maintenance(None).is_none());
-        assert_eq!(shared.counters().maintenance_runs, 1);
-        assert_eq!(shared.accounted_bytes().total(), bytes);
-        // A roomy budget: counted, no pressure.
+        let epoch = shared.snapshot().epoch();
         assert!(shared
-            .run_maintenance(Some(&crate::govern::MemoryBudget::flush(1 << 30)))
+            .enforce_budget(&crate::govern::MemoryBudget::flush(1 << 30))
             .is_none());
-        // A one-byte budget trips exactly like enforce_budget.
+        assert_eq!(shared.accounted_bytes().total(), bytes);
+        assert_eq!(shared.snapshot().epoch(), epoch);
+        // A one-byte budget trips.
         let event = shared
-            .run_maintenance(Some(&crate::govern::MemoryBudget::flush(1)))
+            .enforce_budget(&crate::govern::MemoryBudget::flush(1))
             .expect("budget must trip");
         assert!(event.bytes_before > event.bytes_after);
-        assert_eq!(shared.counters().maintenance_runs, 3);
         assert_eq!(shared.counters().flushes, 1);
     }
 

@@ -27,8 +27,8 @@ impl SigId {
 /// Interner for dynamic-cost vectors.
 ///
 /// `Clone` is cheap relative to publication frequency and is used to
-/// freeze the interner into an [`AutomatonSnapshot`]
-/// (crate::AutomatonSnapshot).
+/// freeze the interner into an
+/// [`AutomatonSnapshot`](crate::AutomatonSnapshot).
 #[derive(Debug, Clone)]
 pub struct SignatureInterner {
     sigs: Vec<Box<[RuleCost]>>,

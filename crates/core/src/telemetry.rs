@@ -636,9 +636,10 @@ pub struct TargetMetrics {
     /// Labeling latency inside the worker.
     pub labeling: AtomicHistogram,
     /// Reduction latency (recorded by whoever reduces — the server only
-    /// labels, so this is fed by the CLI / batch layers).
+    /// labels, so this is fed by its clients, e.g. the CLI).
     pub reduce: AtomicHistogram,
-    /// Maintenance-quantum duration (budget enforcement between jobs).
+    /// Maintenance-quantum duration (budget enforcement between jobs);
+    /// its `count()` is the number of quanta run.
     pub maintenance: AtomicHistogram,
     /// Absolute error `|EWMA estimate - actual|` of the shedding
     /// service-time estimator, in nanoseconds, per completed job with an

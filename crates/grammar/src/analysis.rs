@@ -1290,60 +1290,6 @@ fn exploration_diags(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated string-typed surface
-// ---------------------------------------------------------------------------
-
-/// A human-readable lint finding about a grammar.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `analyze` and the typed `Diagnostic` instead"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Issue {
-    /// The message.
-    pub message: String,
-}
-
-#[allow(deprecated)]
-impl fmt::Display for Issue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-/// Reports underivable or unreachable nonterminals as string issues.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `analyze` and filter on `Diagnostic::code`"
-)]
-#[allow(deprecated)]
-pub fn check(grammar: &NormalGrammar) -> Vec<Issue> {
-    analyze(grammar)
-        .into_iter()
-        .filter(|d| {
-            matches!(
-                d.code,
-                Code::UnderivableNonterminal | Code::UnreachableNonterminal
-            )
-        })
-        .map(|d| Issue { message: d.message })
-        .collect()
-}
-
-/// Reports every verifier finding as a string issue.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `analyze` and the typed `Diagnostic` instead"
-)]
-#[allow(deprecated)]
-pub fn lint(grammar: &NormalGrammar) -> Vec<Issue> {
-    analyze(grammar)
-        .into_iter()
-        .map(|d| Issue { message: d.message })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1598,15 +1544,5 @@ mod tests {
         if let (Some(w), Some(e)) = (first_warning, last_error) {
             assert!(e < w, "{:?}", as_strings(&d1));
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_answer() {
-        let g = parse_grammar("%start a\na: ConstI8 (1)\nb: LoadI8(b) (1)\n").unwrap();
-        let n = g.normalize();
-        assert_eq!(check(&n).len(), 2);
-        let issues = lint(&g.normalize());
-        assert!(issues.iter().all(|i| !i.to_string().is_empty()));
     }
 }

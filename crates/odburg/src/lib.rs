@@ -9,13 +9,13 @@
 //! |--------|----------|
 //! | [`ir`] | typed expression-tree IR (operators, forests, s-exprs) |
 //! | [`grammar`] | tree grammars, the burg-style DSL, normal form |
-//! | [`select`] | the labelers: on-demand automaton, offline automaton, dynamic programming, macro expansion |
+//! | [`select`](mod@select) | the labelers: on-demand automaton, offline automaton, dynamic programming, macro expansion |
 //! | [`codegen`] | the reducer and template-based emission |
 //! | [`targets`] | built-in machine descriptions (x86ish, riscish, …) |
 //! | [`frontend`] | MiniC: a small language lowered to IR forests |
 //! | [`workloads`] | benchmark programs and random-tree workloads |
 //! | [`strategy`] | runtime strategy choice behind the unified `Labeler` trait |
-//! | [`service`] | multi-target selection service: grammar registry + long-running `SelectorServer` (bounded queue, deadlines, backpressure) with a batch-compatible `SelectorService` layer |
+//! | [`service`] | multi-target selection service: grammar registry + long-running `SelectorServer` (bounded queue, deadlines, backpressure) |
 //! | [`cluster`] | replicated snapshot shards: consistent-hash routing, single-writer leases, table shipping over framed transports, epoch-fenced failover |
 //!
 //! # Quick start
@@ -67,7 +67,7 @@ use odburg_core::{LabelError, Labeler};
 use odburg_grammar::Grammar;
 use odburg_ir::Forest;
 
-/// Error of the one-shot [`select`] convenience function.
+/// Error of the one-shot [`select()`] convenience function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SelectError {
     /// Labeling failed (uncovered node, budget, …).
@@ -110,8 +110,9 @@ impl From<ReduceError> for SelectError {
 /// `grammar`, labels `forest`, and reduces every root to instructions.
 ///
 /// Convenient for single compilations; for compiler/JIT use, keep an
-/// [`OnDemandAutomaton`] alive across calls instead — its whole point is
-/// that it gets faster the longer it lives.
+/// [`OnDemandAutomaton`](odburg_core::OnDemandAutomaton) alive across
+/// calls instead — its whole point is that it gets faster the longer it
+/// lives.
 ///
 /// # Errors
 ///
@@ -134,7 +135,7 @@ pub fn select(grammar: &Grammar, forest: &Forest) -> Result<Reduction, SelectErr
     select_with(strategy::Strategy::OnDemand, grammar, forest)
 }
 
-/// Like [`select`], but with the labeling strategy chosen at runtime —
+/// Like [`select()`], but with the labeling strategy chosen at runtime —
 /// everything routes through the unified [`Labeler`] trait.
 ///
 /// # Errors
@@ -179,10 +180,9 @@ pub mod prelude {
         ShipmentReport, SocketTransport, WriterLease,
     };
     pub use crate::service::{
-        AnalysisPolicy, BatchReport, CompletedJob, FairConfig, JobError, JobHandle, JobOptions,
-        Priority, SchedPolicy, SelectorServer, SelectorService, ServeError, ServerConfig,
-        ServerReport, ServerTallies, ServiceConfig, ServiceError, SubmitError, TargetServerStats,
-        Ticket,
+        AnalysisPolicy, CompletedJob, FairConfig, JobError, JobHandle, JobOptions, Priority,
+        SchedPolicy, SelectorServer, ServeError, ServerConfig, ServerReport, ServiceError,
+        SubmitError, TargetServerStats, Ticket,
     };
     pub use crate::strategy::{AnyLabeler, AnyLabeling, Strategy};
     pub use odburg_codegen::{reduce_forest, reduce_tree, Reduction};

@@ -13,7 +13,7 @@
 //!   projection-mode masters coexist with direct-table ones.
 //! * **Warm start** — with a tables directory configured, a master is
 //!   seeded from `<dir>/<target>.odbt` (the
-//!   [`persist`](odburg_core::persist) format written by
+//!   [`persist`] format written by
 //!   `odburg tables export`). A missing file means a cold start; a
 //!   *mismatched* file is a hard [`ServiceError::Tables`] carrying the
 //!   target name — never a silent cold start, never a mislabel.
@@ -43,23 +43,20 @@
 //! * **Off-path maintenance** — per-target [`MemoryBudget`]
 //!   enforcement (compaction, flushes) never runs on the submit or
 //!   complete path. Workers run **maintenance quanta** between jobs
-//!   ([`SharedOnDemand::run_maintenance`]): after a target's job
+//!   ([`SharedOnDemand::enforce_budget`]): after a target's job
 //!   completes, a quantum for that target is queued behind the
 //!   remaining jobs and enforces the budget in the next gap — with a
 //!   starvation bound, so sustained saturation cannot defer
-//!   enforcement indefinitely. [`WorkCounters::maintenance_runs`]
-//!   proves where the work happened.
+//!   enforcement indefinitely. The target's telemetry `maintenance`
+//!   histogram counts the quanta, proving where the work happened.
 //! * **Graceful shutdown** — [`shutdown`](SelectorServer::shutdown)
 //!   rejects new submits, finishes every accepted job (in-flight
 //!   pinned labelings included), re-exports per-target tables into the
 //!   configured directory so heat survives restarts, and returns a
 //!   final [`ServerReport`].
-//! * **Batch compatibility** — [`SelectorService`] keeps the PR-3
-//!   `submit()`/`drain()` batch API as a thin layer over the server:
-//!   `drain()` feeds the queued jobs to a private, uncapped server,
-//!   waits on their handles, and waits for the resulting maintenance
-//!   quanta, so batch callers observe the same per-target budget
-//!   guarantees as before.
+//! * **One outcome counter** — every admission outcome and completion
+//!   is counted once, in the target's [`Telemetry`] registry entry;
+//!   the [`ServerReport`] is a view over that registry.
 //!
 //! # Job lifecycle
 //!
@@ -129,13 +126,11 @@ use std::time::{Duration, Instant};
 use odburg_codegen::{reduce_forest, ReduceError, Reduction};
 use odburg_core::telemetry::{Event, EventKind, JobCounts, TargetMetrics, Telemetry};
 use odburg_core::{
-    persist, AtomicWorkCounters, LabelError, MemoryBudget, OnDemandAutomaton, OnDemandConfig,
-    PersistError, PinnedLabeling, PressureEvent, SharedOnDemand, WorkCounters,
+    persist, LabelError, MemoryBudget, OnDemandAutomaton, OnDemandConfig, PersistError,
+    PinnedLabeling, PressureEvent, SharedOnDemand, WorkCounters,
 };
 use odburg_grammar::{analysis, Diagnostic, Grammar, NormalGrammar, Severity};
 use odburg_ir::Forest;
-
-use crate::SelectError;
 
 /// Queue capacity a [`ServerConfig`] of `queue_cap: 0` resolves to.
 pub const DEFAULT_QUEUE_CAP: usize = 256;
@@ -145,7 +140,7 @@ pub const DEFAULT_QUEUE_CAP: usize = 256;
 ///
 /// The verifier runs once per registration, before the target becomes
 /// visible; its findings stay queryable afterwards via
-/// [`SelectorService::diagnostics`] / [`SelectorServer::diagnostics`].
+/// [`SelectorServer::diagnostics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisPolicy {
     /// Reject grammars with error-severity findings (`NoCover` provably
@@ -158,26 +153,6 @@ pub enum AnalysisPolicy {
     WarnOnly,
     /// Skip analysis entirely (registration-latency-sensitive callers).
     Off,
-}
-
-/// Configuration of the batch-compatible [`SelectorService`].
-#[derive(Debug, Clone, Default)]
-pub struct ServiceConfig {
-    /// Size of the worker pool batches are sharded across. `0` picks
-    /// the machine's available parallelism, capped at 8.
-    pub workers: usize,
-    /// Directory of persisted tables to warm-start masters from: a
-    /// target named `t` looks for `<dir>/t.odbt` when its master is
-    /// first built. Missing files start cold; mismatched or corrupted
-    /// files are [`ServiceError::Tables`] — never a silent cold start.
-    pub tables_dir: Option<PathBuf>,
-    /// Default per-target memory budget, enforced by the maintenance
-    /// quanta workers run between jobs. Individual targets can override
-    /// this with [`SelectorService::set_memory_budget`]; `None` (the
-    /// default) leaves growth unbounded.
-    pub memory_budget: Option<MemoryBudget>,
-    /// What registration does with grammar-verifier findings.
-    pub analysis_policy: AnalysisPolicy,
 }
 
 /// How each priority lane orders its waiting jobs.
@@ -238,7 +213,7 @@ pub struct ServerConfig {
     /// the queue ahead of it already takes longer than that deadline,
     /// reject with [`SubmitError::Infeasible`] instead of queueing work
     /// that is doomed to expire. Off by default (it changes the submit
-    /// contract); the batch path never sheds regardless.
+    /// contract).
     pub shed_infeasible: bool,
     /// Weighted per-target fair queueing; `None` (the default) keeps
     /// one sub-queue per lane.
@@ -541,16 +516,10 @@ struct TargetEntry {
     /// Built on first use; the flag records whether persisted tables
     /// seeded it (for the reports).
     master: Mutex<Option<(Arc<SharedOnDemand>, bool)>>,
-    /// Service-level events attributed to this target (rejected and
-    /// shed submits, deadline misses) — merged into its reported
-    /// counters.
-    events: AtomicWorkCounters,
     /// EWMA of observed labeling latency in nanoseconds (alpha = 1/4);
     /// `0` means no observation yet. Feasibility shedding multiplies
     /// the jobs ahead of a candidate by this estimate at admission.
     service_ewma_ns: AtomicU64,
-    /// Number of latency samples folded into `service_ewma_ns`.
-    service_samples: AtomicU64,
     /// Whether the master has had a telemetry scope attached (done once
     /// by the first enqueue that touches this entry).
     telemetry_attached: AtomicBool,
@@ -618,7 +587,6 @@ impl TargetEntry {
             (old - old / 4 + sample / 4).max(1)
         };
         self.service_ewma_ns.store(new, Ordering::Relaxed);
-        self.service_samples.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The current service-time estimate, if any job has been observed.
@@ -628,20 +596,9 @@ impl TargetEntry {
             ns => Some(Duration::from_nanos(ns)),
         }
     }
-
-    /// The target's cumulative counters: labeling work on the master
-    /// plus service-level events.
-    fn counters(&self) -> WorkCounters {
-        let mut c = self
-            .built_master()
-            .map(|(m, _)| m.counters())
-            .unwrap_or_default();
-        c.merge(&self.events.snapshot());
-        c
-    }
 }
 
-/// The shared grammar registry behind both front ends.
+/// The grammar registry behind the server.
 #[derive(Debug)]
 struct Registry {
     tables_dir: Option<PathBuf>,
@@ -701,9 +658,7 @@ impl Registry {
                 diagnostics,
                 budget: Mutex::new(None),
                 master: Mutex::new(None),
-                events: AtomicWorkCounters::new(),
                 service_ewma_ns: AtomicU64::new(0),
-                service_samples: AtomicU64::new(0),
                 telemetry_attached: AtomicBool::new(false),
                 last_pressure: Mutex::new(None),
                 maintenance_queued: AtomicBool::new(false),
@@ -1318,7 +1273,7 @@ const SUBMIT_LANE: usize = 0;
 
 #[derive(Debug)]
 struct ServerShared {
-    registry: Arc<Registry>,
+    registry: Registry,
     /// The telemetry hub: per-target metrics registry plus the flight
     /// recorder. Lane 0 is the submit path, lanes `1..=workers` the
     /// workers, the last lane the shared core (epoch publications,
@@ -1331,12 +1286,6 @@ struct ServerShared {
     idle: Condvar,
     queue_cap: usize,
     started: Instant,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    deadline_missed: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
 }
 
 enum Task {
@@ -1413,11 +1362,6 @@ fn process_job(shared: &ServerShared, job: QueuedJob, lane: usize) {
     );
     let (outcome, latency) = match job.deadline {
         Some(deadline) if now >= deadline => {
-            shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            job.entry.events.merge(&WorkCounters {
-                deadline_misses: 1,
-                ..WorkCounters::default()
-            });
             let missed_by = now.saturating_duration_since(deadline);
             job.metrics.counts.add(&JobCounts {
                 deadline_missed: 1,
@@ -1462,10 +1406,6 @@ fn process_job(shared: &ServerShared, job: QueuedJob, lane: usize) {
             // Feed the admission estimator with what serving actually
             // cost — shedding projects queue wait from this EWMA.
             job.entry.observe_service(latency);
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            if outcome.is_err() {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-            }
             let latency_ns = duration_ns(latency);
             job.metrics.labeling.record(latency_ns);
             if est_before != 0 {
@@ -1526,7 +1466,7 @@ fn run_quantum(shared: &ServerShared, entry: Arc<TargetEntry>) {
         // Same containment as the labeling path: a panicking quantum
         // must not take the worker (and its `active` slot) with it.
         let event = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            master.run_maintenance(budget.as_ref())
+            budget.and_then(|budget| master.enforce_budget(&budget))
         }))
         .unwrap_or(None);
         // Any Compact/Flush the quantum triggered is recorded by the
@@ -1558,35 +1498,18 @@ fn resolve_workers(configured: usize) -> usize {
     }
 }
 
-/// A point-in-time view of the server's tallies (for periodic stats
-/// lines; cheap, lock-free except the queue-depth sample).
-#[derive(Debug, Clone, Copy)]
-pub struct ServerTallies {
-    /// Jobs offered: accepted + rejected + shed.
-    pub submitted: u64,
-    /// Jobs accepted into the queue.
-    pub accepted: u64,
-    /// Jobs that ran labeling (successfully or not).
-    pub completed: u64,
-    /// Completed jobs whose labeling failed.
-    pub failed: u64,
-    /// Jobs expired with [`JobError::DeadlineExceeded`].
-    pub deadline_missed: u64,
-    /// Submissions rejected (queue full or shutdown).
-    pub rejected: u64,
-    /// Submissions shed as infeasible ([`SubmitError::Infeasible`]).
-    pub shed: u64,
-    /// Jobs currently waiting in the queue.
-    pub queue_depth: usize,
-}
-
 /// Per-target accounting in a [`ServerReport`].
 #[derive(Debug, Clone)]
 pub struct TargetServerStats {
     /// The target name.
     pub target: String,
-    /// Cumulative work on the target's master plus service events
-    /// (deadline misses, rejected submits, maintenance quanta).
+    /// The target's job outcomes, read from its telemetry registry
+    /// entry ([`TargetMetrics::counts`]).
+    pub jobs: JobCounts,
+    /// Maintenance quanta run for the target between jobs (the count of
+    /// its [`TargetMetrics::maintenance`] histogram).
+    pub maintenance_quanta: u64,
+    /// Cumulative labeling and governance work on the target's master.
     pub counters: WorkCounters,
     /// Accounted bytes of the target's tables.
     pub table_bytes: usize,
@@ -1601,12 +1524,14 @@ pub struct TargetServerStats {
     /// The shedding service-time EWMA at shutdown, if any job was
     /// observed — the estimate `Infeasible` verdicts multiplied.
     pub service_ewma: Option<Duration>,
-    /// Latency samples folded into that EWMA.
+    /// Latency samples folded into that EWMA (the count of the target's
+    /// [`TargetMetrics::labeling`] histogram).
     pub service_samples: u64,
 }
 
 /// What [`SelectorServer::shutdown`] learned over the server's
-/// lifetime. Conservation invariant once the queue has drained:
+/// lifetime: a view over the telemetry registry taken after the
+/// workers joined. Conservation invariant once the queue has drained:
 /// `accepted == completed + deadline_missed` and
 /// `submitted == accepted + rejected + shed` — no job is ever silently
 /// lost.
@@ -1643,7 +1568,7 @@ pub struct ServerReport {
 }
 
 impl ServerReport {
-    /// Counters aggregated across all targets.
+    /// Master work counters aggregated across all targets.
     pub fn counters(&self) -> WorkCounters {
         let mut total = WorkCounters::default();
         for t in &self.per_target {
@@ -1660,8 +1585,6 @@ pub struct SelectorServer {
     workers: usize,
     /// Shed infeasible deadline submissions at admission.
     shed_infeasible: bool,
-    /// Export tables to the registry's directory at shutdown.
-    export_on_shutdown: bool,
     handles: Mutex<Vec<JoinHandle<()>>>,
     down: AtomicBool,
 }
@@ -1669,41 +1592,6 @@ pub struct SelectorServer {
 impl SelectorServer {
     /// An empty server: worker pool running, no targets registered.
     pub fn new(config: ServerConfig) -> Self {
-        let registry = Arc::new(Registry::new(
-            config.tables_dir.clone(),
-            config.memory_budget,
-            config.analysis_policy,
-        ));
-        let queue_cap = match config.queue_cap {
-            0 => DEFAULT_QUEUE_CAP,
-            n => n,
-        };
-        let export = config.tables_dir.is_some();
-        SelectorServer::with_registry(registry, &config, queue_cap, export)
-    }
-
-    /// A server with all six built-in targets
-    /// ([`odburg_targets::TARGET_NAMES`]) pre-registered.
-    pub fn with_builtin_targets(config: ServerConfig) -> Self {
-        let server = SelectorServer::new(config);
-        for grammar in odburg_targets::all() {
-            server
-                .register(&grammar)
-                .expect("built-in target names are unique");
-        }
-        server
-    }
-
-    /// Spawns the pool over an existing registry (how the
-    /// [`SelectorService`] compatibility layer shares its targets).
-    /// Only the scheduling fields of `config` are read here — registry
-    /// concerns (tables, budget, analysis) were consumed by the caller.
-    fn with_registry(
-        registry: Arc<Registry>,
-        config: &ServerConfig,
-        queue_cap: usize,
-        export_on_shutdown: bool,
-    ) -> Self {
         let workers = resolve_workers(config.workers);
         // Recorder lanes: submit path, one per worker, shared core.
         let mut lanes = Vec::with_capacity(workers + 2);
@@ -1711,7 +1599,11 @@ impl SelectorServer {
         lanes.extend((0..workers).map(|i| format!("worker-{i}")));
         lanes.push("core".to_string());
         let shared = Arc::new(ServerShared {
-            registry,
+            registry: Registry::new(
+                config.tables_dir,
+                config.memory_budget,
+                config.analysis_policy,
+            ),
             telemetry: Arc::new(Telemetry::new(lanes)),
             state: Mutex::new(ServerState {
                 sched: Scheduler::new(config.sched, config.fair.as_ref()),
@@ -1722,14 +1614,11 @@ impl SelectorServer {
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            queue_cap,
+            queue_cap: match config.queue_cap {
+                0 => DEFAULT_QUEUE_CAP,
+                n => n,
+            },
             started: Instant::now(),
-            accepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            deadline_missed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -1744,10 +1633,21 @@ impl SelectorServer {
             shared,
             workers,
             shed_infeasible: config.shed_infeasible,
-            export_on_shutdown,
             handles: Mutex::new(handles),
             down: AtomicBool::new(false),
         }
+    }
+
+    /// A server with all six built-in targets
+    /// ([`odburg_targets::TARGET_NAMES`]) pre-registered.
+    pub fn with_builtin_targets(config: ServerConfig) -> Self {
+        let server = SelectorServer::new(config);
+        for grammar in odburg_targets::all() {
+            server
+                .register(&grammar)
+                .expect("built-in target names are unique");
+        }
+        server
     }
 
     /// Registers a grammar under its own name with the default
@@ -1875,20 +1775,16 @@ impl SelectorServer {
     ) -> Result<JobHandle, SubmitError> {
         let entry = self.shared.registry.entry(target)?;
         let (master, _) = entry.master(self.shared.registry.tables_dir.as_deref())?;
-        self.enqueue(None, entry, master, forest, options, true)
+        self.enqueue(entry, master, forest, options)
     }
 
-    /// The single enqueue point. `enforce_cap: false` is the internal
-    /// batch path ([`SelectorService::drain`]), which must never lose a
-    /// job to backpressure (and is never purged against or shed).
+    /// The single enqueue point: admission control, then the queue.
     fn enqueue(
         &self,
-        ticket: Option<Ticket>,
         entry: Arc<TargetEntry>,
         master: Arc<SharedOnDemand>,
         forest: Forest,
         options: JobOptions,
-        enforce_cap: bool,
     ) -> Result<JobHandle, SubmitError> {
         let metrics = self.shared.telemetry.target(&entry.name);
         if !entry.telemetry_attached.swap(true, Ordering::Relaxed) {
@@ -1911,11 +1807,6 @@ impl SelectorServer {
         let mut st = self.shared.state.lock().expect("server state lock");
         if st.shutdown {
             drop(st);
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            entry.events.merge(&WorkCounters {
-                rejected_submits: 1,
-                ..WorkCounters::default()
-            });
             metrics.counts.add(&JobCounts {
                 submitted: 1,
                 rejected: 1,
@@ -1941,17 +1832,12 @@ impl SelectorServer {
         // worker pops them — otherwise a queue full of expired work
         // spuriously rejects fresh feasible submits.
         let mut expired = Vec::new();
-        if enforce_cap && st.queued() >= self.shared.queue_cap {
+        if st.queued() >= self.shared.queue_cap {
             expired = st.sched.purge_expired(accepted_at);
         }
-        if enforce_cap && st.queued() >= self.shared.queue_cap {
+        if st.queued() >= self.shared.queue_cap {
             drop(st);
             self.deliver_expired(expired, accepted_at);
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            entry.events.merge(&WorkCounters {
-                rejected_submits: 1,
-                ..WorkCounters::default()
-            });
             metrics.counts.add(&JobCounts {
                 submitted: 1,
                 rejected: 1,
@@ -1968,7 +1854,7 @@ impl SelectorServer {
                 capacity: self.shared.queue_cap,
             });
         }
-        if self.shed_infeasible && enforce_cap {
+        if self.shed_infeasible {
             if let (Some(deadline), Some(abs_deadline), Some(est)) =
                 (options.deadline, deadline, entry.estimated_service())
             {
@@ -1979,11 +1865,6 @@ impl SelectorServer {
                 if estimated_wait > deadline {
                     drop(st);
                     self.deliver_expired(expired, accepted_at);
-                    self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                    entry.events.merge(&WorkCounters {
-                        shed_submits: 1,
-                        ..WorkCounters::default()
-                    });
                     metrics.counts.add(&JobCounts {
                         submitted: 1,
                         shed: 1,
@@ -2003,7 +1884,7 @@ impl SelectorServer {
                 }
             }
         }
-        let ticket = ticket.unwrap_or_else(|| self.shared.registry.allocate_ticket());
+        let ticket = self.shared.registry.allocate_ticket();
         let slot = Arc::new(Slot::new());
         let handle = JobHandle {
             ticket,
@@ -2023,7 +1904,6 @@ impl SelectorServer {
         st.sched.push(options.priority, job);
         drop(st);
         self.deliver_expired(expired, accepted_at);
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
         metrics.counts.add(&JobCounts {
             submitted: 1,
             accepted: 1,
@@ -2048,11 +1928,6 @@ impl SelectorServer {
     fn deliver_expired(&self, expired: Vec<QueuedJob>, now: Instant) {
         for job in expired {
             let deadline = job.deadline.expect("only deadline jobs expire");
-            self.shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            job.entry.events.merge(&WorkCounters {
-                deadline_misses: 1,
-                ..WorkCounters::default()
-            });
             job.metrics.counts.add(&JobCounts {
                 deadline_missed: 1,
                 ..JobCounts::default()
@@ -2091,23 +1966,6 @@ impl SelectorServer {
         self.workers
     }
 
-    /// A point-in-time view of the server's tallies.
-    pub fn tallies(&self) -> ServerTallies {
-        let accepted = self.shared.accepted.load(Ordering::Relaxed);
-        let rejected = self.shared.rejected.load(Ordering::Relaxed);
-        let shed = self.shared.shed.load(Ordering::Relaxed);
-        ServerTallies {
-            submitted: accepted + rejected + shed,
-            accepted,
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            deadline_missed: self.shared.deadline_missed.load(Ordering::Relaxed),
-            rejected,
-            shed,
-            queue_depth: self.queue_depth(),
-        }
-    }
-
     /// The server's telemetry hub: per-target metrics registry (atomic
     /// counters + latency histograms) and the job-lifecycle flight
     /// recorder. Safe to snapshot and export while workers run; see
@@ -2121,25 +1979,24 @@ impl SelectorServer {
     /// the live view behind [`TargetServerStats::service_ewma`], for
     /// periodic stats lines.
     pub fn service_estimates(&self) -> Vec<(String, Duration, u64)> {
-        // `entries()` is name-sorted already.
+        // `entries()` is name-sorted already. A target with an estimate
+        // has labeled a job, so its registry entry exists.
         self.shared
             .registry
             .entries()
             .into_iter()
             .filter_map(|entry| {
                 let est = entry.estimated_service()?;
-                Some((
-                    entry.name.clone(),
-                    est,
-                    entry.service_samples.load(Ordering::Relaxed),
-                ))
+                let samples = self.shared.telemetry.target(&entry.name).labeling.count();
+                Some((entry.name.clone(), est, samples))
             })
             .collect()
     }
 
     /// Blocks until every accepted job *and* every queued maintenance
-    /// quantum has finished. The batch layer uses this so its reports
-    /// reflect post-enforcement tables.
+    /// quantum has finished. One-shot clients call this after their
+    /// last handle resolves, so table sizes they sample reflect
+    /// post-enforcement tables.
     pub fn wait_idle(&self) {
         let mut st = self.shared.state.lock().expect("server state lock");
         while !st.is_idle() {
@@ -2175,7 +2032,7 @@ impl SelectorServer {
                 let _ = handle.join();
             }
         }
-        let (exported_tables, export_errors) = if first && self.export_on_shutdown {
+        let (exported_tables, export_errors) = if first {
             self.export_tables()
         } else {
             (Vec::new(), Vec::new())
@@ -2208,19 +2065,15 @@ impl SelectorServer {
         (exported, errors)
     }
 
+    /// The report as a view over the metrics registry: totals and
+    /// per-target outcome counts are registry snapshots (workers have
+    /// joined; submitters that raced shutdown have fully recorded their
+    /// rejection), table sizes and work counters come from the masters.
     fn collect_report(
         &self,
         exported_tables: Vec<String>,
         export_errors: Vec<(String, String)>,
     ) -> ServerReport {
-        let accepted = self.shared.accepted.load(Ordering::Relaxed);
-        let rejected = self.shared.rejected.load(Ordering::Relaxed);
-        let shed = self.shared.shed.load(Ordering::Relaxed);
-        // Telemetry is proven against the primary counters, not a
-        // parallel approximation: recomputed purely from the metrics
-        // registry, conservation must hold and must agree with the
-        // `ServerShared` atomics (workers have joined; submitters that
-        // raced shutdown have fully recorded their rejection).
         let totals = self.shared.telemetry.totals();
         debug_assert!(
             totals.conserved(),
@@ -2230,11 +2083,15 @@ impl SelectorServer {
             totals.rejected,
             totals.shed,
         );
-        debug_assert_eq!(
-            (totals.accepted, totals.rejected, totals.shed),
-            (accepted, rejected, shed),
-            "metrics registry disagrees with server counters",
-        );
+        // Looked up, not interned: a master built without ever taking a
+        // job must not grow an empty registry entry.
+        let metrics: HashMap<String, Arc<TargetMetrics>> = self
+            .shared
+            .telemetry
+            .targets()
+            .into_iter()
+            .map(|m| (m.name().to_owned(), m))
+            .collect();
         let per_target = self
             .shared
             .registry
@@ -2242,27 +2099,39 @@ impl SelectorServer {
             .into_iter()
             .filter_map(|entry| {
                 let (master, warm_started) = entry.built_master()?;
+                let (jobs, maintenance_quanta, service_samples) = metrics
+                    .get(&entry.name)
+                    .map(|m| {
+                        (
+                            m.counts.snapshot(),
+                            m.maintenance.count(),
+                            m.labeling.count(),
+                        )
+                    })
+                    .unwrap_or_default();
                 let bytes = master.accounted_bytes();
                 Some(TargetServerStats {
                     target: entry.name.clone(),
-                    counters: entry.counters(),
+                    jobs,
+                    maintenance_quanta,
+                    counters: master.counters(),
                     table_bytes: bytes.total(),
                     dense_index_bytes: bytes.dense_index,
                     warm_started,
                     pressure: *entry.last_pressure.lock().expect("pressure lock"),
                     service_ewma: entry.estimated_service(),
-                    service_samples: entry.service_samples.load(Ordering::Relaxed),
+                    service_samples,
                 })
             })
             .collect();
         ServerReport {
-            submitted: accepted + rejected + shed,
-            accepted,
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            deadline_missed: self.shared.deadline_missed.load(Ordering::Relaxed),
-            rejected,
-            shed,
+            submitted: totals.submitted,
+            accepted: totals.accepted,
+            completed: totals.completed,
+            failed: totals.failed,
+            deadline_missed: totals.deadline_missed,
+            rejected: totals.rejected,
+            shed: totals.shed,
             per_target,
             uptime: self.shared.started.elapsed(),
             workers: self.workers,
@@ -2281,490 +2150,6 @@ impl Drop for SelectorServer {
     }
 }
 
-// ---------------------------------------------------------------------
-// The batch compatibility layer.
-// ---------------------------------------------------------------------
-
-/// A queued `(target, forest)` job of the batch layer; the master is
-/// resolved at submit time so a batch keeps labeling correctly even if
-/// the registry gains targets mid-batch.
-#[derive(Debug)]
-struct PendingJob {
-    ticket: Ticket,
-    entry: Arc<TargetEntry>,
-    master: Arc<SharedOnDemand>,
-    warm: bool,
-    forest: Forest,
-}
-
-/// The outcome of one batched job.
-#[derive(Debug)]
-pub struct JobResult {
-    /// The ticket [`SelectorService::submit`] returned for this job.
-    pub ticket: Ticket,
-    /// The target the job was labeled against.
-    pub target: String,
-    /// The submitted forest, returned to the caller.
-    pub forest: Forest,
-    /// The labeling, pinned to the exact snapshot its state ids refer
-    /// to, or why labeling failed.
-    pub outcome: Result<PinnedLabeling, LabelError>,
-    /// Wall-clock time this job spent labeling on its worker.
-    pub latency: Duration,
-}
-
-impl JobResult {
-    /// The epoch of the snapshot this job's labeling is pinned to.
-    pub fn epoch(&self) -> Option<u64> {
-        self.outcome.as_ref().ok().map(|p| p.snapshot().epoch())
-    }
-
-    /// Reduces the job to instructions against its pinned snapshot's
-    /// grammar.
-    ///
-    /// # Errors
-    ///
-    /// [`SelectError::Label`] if the job's labeling failed,
-    /// [`SelectError::Reduce`] if the forest is not derivable from the
-    /// start symbol.
-    pub fn reduce(&self) -> Result<Reduction, SelectError> {
-        match &self.outcome {
-            Ok(pinned) => Ok(reduce_forest(
-                &self.forest,
-                pinned.snapshot().grammar(),
-                &pinned.chooser(),
-            )?),
-            Err(e) => Err(SelectError::Label(e.clone())),
-        }
-    }
-}
-
-/// Per-target accounting of one drained batch.
-#[derive(Debug, Clone)]
-pub struct TargetBatchStats {
-    /// The target name.
-    pub target: String,
-    /// Jobs of this target in the batch.
-    pub jobs: usize,
-    /// IR nodes across those jobs.
-    pub nodes: u64,
-    /// Jobs whose labeling failed.
-    pub failed: usize,
-    /// Work this batch performed on the target's master — including its
-    /// maintenance quanta — as a counter delta across the drain
-    /// (approximate if another thread drains the same target
-    /// concurrently).
-    pub counters: WorkCounters,
-    /// Minimum and maximum snapshot epoch the batch's labelings were
-    /// pinned to, when at least one job succeeded.
-    pub epochs: Option<(u64, u64)>,
-    /// Whether this target's master was warm-started from persisted
-    /// tables.
-    pub warm_started: bool,
-    /// Accounted bytes of the target's tables when the drain finished
-    /// (after the batch's maintenance quanta — so with a budget
-    /// configured this never exceeds it).
-    pub table_bytes: usize,
-    /// The budget enforcement this batch's maintenance quanta
-    /// triggered for the target, if its [`MemoryBudget`] tripped.
-    pub pressure: Option<PressureEvent>,
-}
-
-/// Latency percentiles over one batch's jobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencyStats {
-    /// Median per-job labeling latency.
-    pub p50: Duration,
-    /// 99th-percentile per-job labeling latency.
-    pub p99: Duration,
-    /// Slowest job.
-    pub max: Duration,
-}
-
-impl LatencyStats {
-    /// Percentiles via the shared telemetry histogram (log-linear
-    /// buckets, interpolated nearest-rank quantiles — within one
-    /// sub-bucket width of the sort-based order statistics this used to
-    /// compute). `max` stays exact: the histogram tracks it aside.
-    fn from_durations(samples: Vec<Duration>) -> LatencyStats {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        let h = odburg_core::Histogram::from_durations(&samples);
-        LatencyStats {
-            p50: h.quantile_duration(0.50),
-            p99: h.quantile_duration(0.99),
-            max: Duration::from_nanos(h.max()),
-        }
-    }
-
-    fn from_results(results: &[JobResult]) -> LatencyStats {
-        LatencyStats::from_durations(results.iter().map(|r| r.latency).collect())
-    }
-}
-
-/// Everything [`SelectorService::drain`] learned about one batch.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-job results, in ticket order.
-    pub results: Vec<JobResult>,
-    /// Per-target accounting, in first-submission order.
-    pub per_target: Vec<TargetBatchStats>,
-    /// Latency percentiles across the batch.
-    pub latency: LatencyStats,
-    /// Wall-clock time of the whole drain.
-    pub wall: Duration,
-    /// Worker threads the batch was sharded across.
-    pub workers: usize,
-}
-
-impl BatchReport {
-    /// Number of jobs whose labeling failed.
-    pub fn failed(&self) -> usize {
-        self.results.iter().filter(|r| r.outcome.is_err()).count()
-    }
-}
-
-/// The batch-compatible front end: `submit` queues, `drain` runs the
-/// whole batch through a private [`SelectorServer`] and blocks for the
-/// full report. See the [module docs](self); new code should prefer the
-/// server API.
-#[derive(Debug)]
-pub struct SelectorService {
-    /// Worker-pool size for the batch server; the rest of the
-    /// [`ServiceConfig`] lives on in the shared registry (tables
-    /// directory, default budget) — the authoritative copies.
-    workers: usize,
-    registry: Arc<Registry>,
-    /// The lazily started server the batches run on. Uncapped queue:
-    /// `drain` must never lose a job to backpressure.
-    server: Mutex<Option<Arc<SelectorServer>>>,
-    queue: Mutex<Vec<PendingJob>>,
-}
-
-impl SelectorService {
-    /// An empty service: no targets registered, nothing queued.
-    pub fn new(config: ServiceConfig) -> Self {
-        let registry = Arc::new(Registry::new(
-            config.tables_dir,
-            config.memory_budget,
-            config.analysis_policy,
-        ));
-        SelectorService {
-            workers: config.workers,
-            registry,
-            server: Mutex::new(None),
-            queue: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A service with all six built-in targets
-    /// ([`odburg_targets::TARGET_NAMES`]) pre-registered.
-    pub fn with_builtin_targets(config: ServiceConfig) -> Self {
-        let svc = SelectorService::new(config);
-        for grammar in odburg_targets::all() {
-            svc.register(&grammar)
-                .expect("built-in target names are unique");
-        }
-        svc
-    }
-
-    /// Registers a grammar under its own name with the default automaton
-    /// configuration. Registration is allowed at any time, including
-    /// while jobs are queued (already-submitted jobs are unaffected).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register(&self, grammar: &Grammar) -> Result<(), ServiceError> {
-        self.register_normal(grammar.name(), Arc::new(grammar.normalize()))
-    }
-
-    /// Registers an already-normalized grammar under `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register_normal(
-        &self,
-        name: &str,
-        grammar: Arc<NormalGrammar>,
-    ) -> Result<(), ServiceError> {
-        self.register_with_mode(name, grammar, OnDemandConfig::default())
-    }
-
-    /// Registers a grammar with an explicit automaton configuration —
-    /// e.g. a projection-mode master (`project_children: true`), or a
-    /// bounded-memory one. Persisted tables for the target must have
-    /// been exported under the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register_with_mode(
-        &self,
-        name: &str,
-        grammar: Arc<NormalGrammar>,
-        mode: OnDemandConfig,
-    ) -> Result<(), ServiceError> {
-        self.registry.register_with_mode(name, grammar, mode)
-    }
-
-    /// Overrides the service-level [`ServiceConfig::memory_budget`] for
-    /// one target: `Some(budget)` applies that budget in the target's
-    /// maintenance quanta, `None` opts the target out of budget
-    /// enforcement entirely (even when the service has a default).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] if the name is not registered.
-    pub fn set_memory_budget(
-        &self,
-        target: &str,
-        budget: Option<MemoryBudget>,
-    ) -> Result<(), ServiceError> {
-        let entry = self.registry.entry(target)?;
-        *entry.budget.lock().expect("budget lock") = Some(budget);
-        Ok(())
-    }
-
-    /// The registered target names, sorted.
-    pub fn targets(&self) -> Vec<String> {
-        self.registry.names()
-    }
-
-    /// The normalized grammar a target labels against.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] if the name is not registered.
-    pub fn grammar(&self, target: &str) -> Result<Arc<NormalGrammar>, ServiceError> {
-        Ok(Arc::clone(&self.registry.entry(target)?.grammar))
-    }
-
-    /// The grammar verifier's findings for a registered target, recorded
-    /// at registration time (empty under [`AnalysisPolicy::Off`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] if the name is not registered.
-    pub fn diagnostics(&self, target: &str) -> Result<Vec<Diagnostic>, ServiceError> {
-        Ok(self.registry.entry(target)?.diagnostics.clone())
-    }
-
-    /// The target's shared master, building (and warm-starting) it on
-    /// first use. Useful for inspection (`stats`, `snapshots_retained`)
-    /// and for labeling outside the batch path.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] or [`ServiceError::Tables`].
-    pub fn shared(&self, target: &str) -> Result<Arc<SharedOnDemand>, ServiceError> {
-        let entry = self.registry.entry(target)?;
-        entry
-            .master(self.registry.tables_dir.as_deref())
-            .map(|(m, _)| m)
-    }
-
-    /// Queues `forest` for labeling against `target` and returns the
-    /// job's ticket. Building (or warm-starting) the target's master
-    /// happens here, on first submission — not inside the drain.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] or [`ServiceError::Tables`].
-    pub fn submit(&self, target: &str, forest: Forest) -> Result<Ticket, ServiceError> {
-        let entry = self.registry.entry(target)?;
-        let (master, warm) = entry.master(self.registry.tables_dir.as_deref())?;
-        let ticket = self.registry.allocate_ticket();
-        self.queue.lock().expect("queue lock").push(PendingJob {
-            ticket,
-            entry,
-            master,
-            warm,
-            forest,
-        });
-        Ok(ticket)
-    }
-
-    /// Number of jobs currently queued.
-    pub fn pending(&self) -> usize {
-        self.queue.lock().expect("queue lock").len()
-    }
-
-    /// The telemetry hub of the batch server, once a drain has started
-    /// it (`None` before the first drain). See
-    /// [`SelectorServer::telemetry`].
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.server
-            .lock()
-            .expect("server slot lock")
-            .as_ref()
-            .map(|server| Arc::clone(server.telemetry()))
-    }
-
-    /// The batch server, started on first drain.
-    fn server(&self) -> Arc<SelectorServer> {
-        let mut slot = self.server.lock().expect("server slot lock");
-        if let Some(server) = &*slot {
-            return Arc::clone(server);
-        }
-        // Default scheduling (Edf degenerates to arrival order for the
-        // deadline-less batch jobs), no shedding, no fair queueing: the
-        // batch contract is every submitted job labels.
-        let server = Arc::new(SelectorServer::with_registry(
-            Arc::clone(&self.registry),
-            &ServerConfig {
-                workers: self.workers,
-                ..ServerConfig::default()
-            },
-            usize::MAX,
-            false,
-        ));
-        *slot = Some(Arc::clone(&server));
-        server
-    }
-
-    /// Takes every queued job, runs the batch through the server's
-    /// persistent worker pool, and blocks for the per-job results.
-    /// Budget enforcement happens in the maintenance quanta the batch's
-    /// jobs schedule; the drain waits for those quanta before sampling
-    /// table sizes, so the report reflects post-enforcement tables.
-    /// Concurrent `drain` calls are allowed; each job is handed to
-    /// exactly one of them.
-    pub fn drain(&self) -> BatchReport {
-        let jobs: Vec<PendingJob> = std::mem::take(&mut *self.queue.lock().expect("queue lock"));
-        if jobs.is_empty() {
-            // Nothing queued: no server start, an empty report. Keeps
-            // serve-style polling loops cheap.
-            return BatchReport {
-                results: Vec::new(),
-                per_target: Vec::new(),
-                latency: LatencyStats::default(),
-                wall: Duration::ZERO,
-                workers: 0,
-            };
-        }
-        let started = Instant::now();
-        let server = self.server();
-
-        // Per-target bookkeeping, in first-submission order: the entry
-        // and master handles plus the cumulative counters before the
-        // batch runs (master work + service events).
-        let mut involved: Vec<(Arc<TargetEntry>, Arc<SharedOnDemand>, bool, WorkCounters)> =
-            Vec::new();
-        for job in &jobs {
-            if !involved
-                .iter()
-                .any(|(entry, ..)| entry.name == job.entry.name)
-            {
-                job.entry
-                    .last_pressure
-                    .lock()
-                    .expect("pressure lock")
-                    .take();
-                involved.push((
-                    Arc::clone(&job.entry),
-                    Arc::clone(&job.master),
-                    job.warm,
-                    job.entry.counters(),
-                ));
-            }
-        }
-
-        let mut handles: Vec<JobHandle> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let handle = server
-                .enqueue(
-                    Some(job.ticket),
-                    job.entry,
-                    job.master,
-                    job.forest,
-                    JobOptions::default(),
-                    false,
-                )
-                .expect("uncapped batch submission cannot be rejected");
-            handles.push(handle);
-        }
-        let mut results: Vec<JobResult> = handles
-            .into_iter()
-            .map(|handle| {
-                let done = handle.wait();
-                JobResult {
-                    ticket: done.ticket,
-                    target: done.target,
-                    forest: done.forest,
-                    outcome: match done.outcome {
-                        Ok(pinned) => Ok(pinned),
-                        Err(JobError::Label(e)) => Err(e),
-                        Err(JobError::DeadlineExceeded { .. }) => {
-                            unreachable!("batch jobs are submitted without deadlines")
-                        }
-                        // The server contains worker panics; the batch
-                        // API predates that and always re-panicked the
-                        // drain caller (scoped threads) — keep doing so.
-                        Err(JobError::Panicked { message }) => {
-                            panic!("batch labeling panicked: {message}")
-                        }
-                    },
-                    latency: done.latency,
-                }
-            })
-            .collect();
-        results.sort_unstable_by_key(|r| r.ticket);
-
-        // Wait for the maintenance quanta this batch scheduled, so the
-        // per-target table sizes below are post-enforcement.
-        server.wait_idle();
-
-        let per_target = involved
-            .into_iter()
-            .map(|(entry, master, warm_started, before)| {
-                let pressure = entry.last_pressure.lock().expect("pressure lock").take();
-                let target = entry.name.clone();
-                let mine = results.iter().filter(|r| r.target == target);
-                let mut jobs = 0;
-                let mut nodes = 0u64;
-                let mut failed = 0;
-                let mut epochs: Option<(u64, u64)> = None;
-                for r in mine {
-                    jobs += 1;
-                    nodes += r.forest.len() as u64;
-                    match r.epoch() {
-                        Some(e) => {
-                            epochs = Some(match epochs {
-                                Some((lo, hi)) => (lo.min(e), hi.max(e)),
-                                None => (e, e),
-                            });
-                        }
-                        None => failed += 1,
-                    }
-                }
-                TargetBatchStats {
-                    target,
-                    jobs,
-                    nodes,
-                    failed,
-                    counters: entry.counters().since(&before),
-                    epochs,
-                    warm_started,
-                    table_bytes: master.accounted_bytes().total(),
-                    pressure,
-                }
-            })
-            .collect();
-
-        let latency = LatencyStats::from_results(&results);
-        BatchReport {
-            results,
-            per_target,
-            latency,
-            wall: started.elapsed(),
-            workers: server.worker_count(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2778,77 +2163,98 @@ mod tests {
         f
     }
 
-    fn two_workers() -> ServiceConfig {
-        ServiceConfig {
+    fn two_workers() -> ServerConfig {
+        ServerConfig {
             workers: 2,
-            ..ServiceConfig::default()
+            ..ServerConfig::default()
         }
+    }
+
+    /// Submits every `(target, forest)` job, waits on each handle in
+    /// submission order, then waits out the maintenance quanta the jobs
+    /// scheduled — a one-shot batch through the server.
+    fn run_all(server: &SelectorServer, jobs: Vec<(&str, Forest)>) -> Vec<CompletedJob> {
+        let handles: Vec<JobHandle> = jobs
+            .into_iter()
+            .map(|(target, f)| server.try_submit(target, f).unwrap())
+            .collect();
+        let done = handles.into_iter().map(JobHandle::wait).collect();
+        server.wait_idle();
+        done
+    }
+
+    fn failed(done: &[CompletedJob]) -> usize {
+        done.iter().filter(|d| d.outcome.is_err()).count()
     }
 
     #[test]
     fn batch_labels_across_targets() {
-        let svc = SelectorService::with_builtin_targets(two_workers());
-        let t0 = svc
-            .submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
+        let server = SelectorServer::with_builtin_targets(two_workers());
+        let h0 = server
+            .try_submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
             .unwrap();
-        let t1 = svc
-            .submit("x86ish", forest("(AddI4 (ConstI4 1) (ConstI4 2))"))
+        let h1 = server
+            .try_submit("x86ish", forest("(AddI4 (ConstI4 1) (ConstI4 2))"))
             .unwrap();
-        let t2 = svc
-            .submit("demo", forest("(StoreI8 (AddrLocalP @y) (ConstI8 2))"))
+        let h2 = server
+            .try_submit("demo", forest("(StoreI8 (AddrLocalP @y) (ConstI8 2))"))
             .unwrap();
-        assert_eq!(svc.pending(), 3);
-        let report = svc.drain();
-        assert_eq!(svc.pending(), 0);
-        assert_eq!(report.failed(), 0);
-        assert_eq!(
-            report.results.iter().map(|r| r.ticket).collect::<Vec<_>>(),
-            vec![t0, t1, t2]
-        );
+        let tickets = vec![h0.ticket(), h1.ticket(), h2.ticket()];
+        let done: Vec<CompletedJob> = [h0, h1, h2].into_iter().map(JobHandle::wait).collect();
+        assert_eq!(server.queue_depth(), 0);
+        assert_eq!(failed(&done), 0);
+        assert_eq!(done.iter().map(|d| d.ticket).collect::<Vec<_>>(), tickets);
+        for d in &done {
+            let red = d.reduce().unwrap();
+            assert!(!red.instructions.is_empty());
+        }
+        assert!(done
+            .iter()
+            .filter(|d| d.target == "demo")
+            .all(|d| d.epoch().is_some()));
+        let report = server.shutdown();
+        assert_eq!(report.accepted, 3);
         let demo = report
             .per_target
             .iter()
             .find(|t| t.target == "demo")
             .unwrap();
-        assert_eq!(demo.jobs, 2);
+        assert_eq!(demo.jobs.completed, 2);
         assert!(demo.counters.nodes >= 6, "{:?}", demo.counters);
-        assert!(demo.epochs.is_some());
-        for r in &report.results {
-            let red = r.reduce().unwrap();
-            assert!(!red.instructions.is_empty());
-        }
     }
 
     #[test]
     fn unknown_and_duplicate_targets_error() {
-        let svc = SelectorService::with_builtin_targets(ServiceConfig::default());
+        let server = SelectorServer::with_builtin_targets(ServerConfig::default());
         assert!(matches!(
-            svc.submit("z80", Forest::new()),
-            Err(ServiceError::UnknownTarget { .. })
+            server.try_submit("z80", Forest::new()),
+            Err(SubmitError::Service(ServiceError::UnknownTarget { .. }))
         ));
         assert!(matches!(
-            svc.register(&odburg_targets::demo()),
+            server.register(&odburg_targets::demo()),
             Err(ServiceError::DuplicateTarget { .. })
         ));
-        assert_eq!(svc.targets().len(), 6);
+        assert_eq!(server.targets().len(), 6);
     }
 
     #[test]
     fn mid_batch_registration_extends_the_registry() {
-        let svc = SelectorService::with_builtin_targets(two_workers());
-        svc.submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
+        let server = SelectorServer::with_builtin_targets(two_workers());
+        let first = server
+            .try_submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
             .unwrap();
-        // A target registered while jobs are queued serves the same
+        // A target registered while jobs are in flight serves the same
         // batch.
         let custom =
             odburg_grammar::parse_grammar("%start reg\nreg: ConstI8 (1) \"li {imm}\"\n").unwrap();
-        svc.register_normal("custom", Arc::new(custom.normalize()))
+        server
+            .register_normal("custom", Arc::new(custom.normalize()))
             .unwrap();
-        svc.submit("custom", forest("(ConstI8 7)")).unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
-        assert_eq!(report.results[1].target, "custom");
-        let red = report.results[1].reduce().unwrap();
+        let second = server.try_submit("custom", forest("(ConstI8 7)")).unwrap();
+        let done = [first.wait(), second.wait()];
+        assert_eq!(failed(&done), 0);
+        assert_eq!(done[1].target, "custom");
+        let red = done[1].reduce().unwrap();
         assert_eq!(red.instructions, vec!["li 7".to_owned()]);
     }
 
@@ -2864,14 +2270,18 @@ mod tests {
             .unwrap();
             Arc::new(g.normalize())
         };
+        let server = |analysis_policy| {
+            SelectorServer::new(ServerConfig {
+                workers: 1,
+                analysis_policy,
+                ..ServerConfig::default()
+            })
+        };
 
         // Deny: registration fails with the findings attached, and the
         // target never becomes visible.
-        let svc = SelectorService::new(ServiceConfig {
-            analysis_policy: AnalysisPolicy::Deny,
-            ..ServiceConfig::default()
-        });
-        match svc.register_normal("broken", broken()) {
+        let denying = server(AnalysisPolicy::Deny);
+        match denying.register_normal("broken", broken()) {
             Err(ServiceError::Analysis {
                 target,
                 diagnostics,
@@ -2883,52 +2293,40 @@ mod tests {
             }
             other => panic!("expected an analysis rejection, got {other:?}"),
         }
-        assert!(svc.grammar("broken").is_err());
+        assert!(denying.grammar("broken").is_err());
 
         // WarnOnly (the default): everything registers; the findings
         // stay queryable.
-        let svc = SelectorService::new(ServiceConfig::default());
-        svc.register_normal("broken", broken()).unwrap();
-        let diags = svc.diagnostics("broken").unwrap();
+        let warning = server(AnalysisPolicy::default());
+        warning.register_normal("broken", broken()).unwrap();
+        let diags = warning.diagnostics("broken").unwrap();
         assert!(diags.iter().any(|d| d.code.as_str() == "G0003"));
 
         // Off: no analysis, no recorded findings.
-        let svc = SelectorService::new(ServiceConfig {
-            analysis_policy: AnalysisPolicy::Off,
-            ..ServiceConfig::default()
-        });
-        svc.register_normal("broken", broken()).unwrap();
-        assert!(svc.diagnostics("broken").unwrap().is_empty());
-
-        // The server front end enforces the same gate.
-        let server = SelectorServer::new(ServerConfig {
-            workers: 1,
-            analysis_policy: AnalysisPolicy::Deny,
-            ..ServerConfig::default()
-        });
-        assert!(matches!(
-            server.register_normal("broken", broken()),
-            Err(ServiceError::Analysis { .. })
-        ));
-        server.shutdown();
+        let off = server(AnalysisPolicy::Off);
+        off.register_normal("broken", broken()).unwrap();
+        assert!(off.diagnostics("broken").unwrap().is_empty());
     }
 
     #[test]
     fn failed_jobs_are_reported_not_fatal() {
-        let svc = SelectorService::with_builtin_targets(two_workers());
-        svc.submit("demo", forest("(MulF8 (ConstF8 #1.0) (ConstF8 #1.0))"))
-            .unwrap();
-        svc.submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
-            .unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 1);
+        let server = SelectorServer::with_builtin_targets(two_workers());
+        let done = run_all(
+            &server,
+            vec![
+                ("demo", forest("(MulF8 (ConstF8 #1.0) (ConstF8 #1.0))")),
+                ("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))")),
+            ],
+        );
+        assert_eq!(failed(&done), 1);
         assert!(matches!(
-            report.results[0].outcome,
-            Err(LabelError::NoCover { .. })
+            done[0].outcome,
+            Err(JobError::Label(LabelError::NoCover { .. }))
         ));
-        assert!(report.results[1].outcome.is_ok());
+        assert!(done[1].outcome.is_ok());
+        let report = server.shutdown();
         let demo = &report.per_target[0];
-        assert_eq!((demo.jobs, demo.failed), (2, 1));
+        assert_eq!((demo.jobs.completed, demo.jobs.failed), (2, 1));
     }
 
     #[test]
@@ -2945,14 +2343,14 @@ mod tests {
 
         // Today's registry warm-starts and answers the seen workload
         // without ever entering the grow path.
-        let svc = SelectorService::with_builtin_targets(ServiceConfig {
+        let server = SelectorServer::with_builtin_targets(ServerConfig {
             workers: 1,
             tables_dir: Some(dir),
-            ..ServiceConfig::default()
+            ..ServerConfig::default()
         });
-        svc.submit("demo", seen).unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
+        let done = run_all(&server, vec![("demo", seen)]);
+        assert_eq!(failed(&done), 0);
+        let report = server.shutdown();
         let stats = &report.per_target[0];
         assert!(stats.warm_started);
         assert_eq!(stats.counters.memo_misses, 0, "{:?}", stats.counters);
@@ -2976,16 +2374,16 @@ mod tests {
         // demo's tables masquerading as jvmish's.
         persist::save_tables(&trainer.snapshot(), &dir.join("jvmish.odbt")).unwrap();
 
-        let svc = SelectorService::with_builtin_targets(ServiceConfig {
+        let server = SelectorServer::with_builtin_targets(ServerConfig {
             workers: 1,
             tables_dir: Some(dir),
-            ..ServiceConfig::default()
+            ..ServerConfig::default()
         });
-        let err = svc
-            .submit("jvmish", forest("(ConstI8 1)"))
+        let err = server
+            .try_submit("jvmish", forest("(ConstI8 1)"))
             .expect_err("mismatched tables must be rejected");
         match &err {
-            ServiceError::Tables { target, error } => {
+            SubmitError::Service(ServiceError::Tables { target, error }) => {
                 assert_eq!(target, "jvmish");
                 assert!(
                     matches!(error, PersistError::GrammarMismatch { .. }),
@@ -2997,34 +2395,38 @@ mod tests {
         assert!(err.to_string().contains("jvmish"), "{err}");
         assert!(err.to_string().contains("different grammar"), "{err}");
         // The queue stayed clean and unaffected targets still work.
-        assert_eq!(svc.pending(), 0);
-        svc.submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
-            .unwrap();
-        assert_eq!(svc.drain().failed(), 0);
+        assert_eq!(server.queue_depth(), 0);
+        let done = run_all(
+            &server,
+            vec![("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))],
+        );
+        assert_eq!(failed(&done), 0);
     }
 
     #[test]
     fn projection_mode_master_per_target() {
-        let svc = SelectorService::new(two_workers());
+        let server = SelectorServer::new(two_workers());
         let normal = Arc::new(odburg_targets::demo().normalize());
-        svc.register_with_mode(
-            "demo-projected",
-            normal,
-            OnDemandConfig {
-                project_children: true,
-                ..OnDemandConfig::default()
-            },
-        )
-        .unwrap();
-        svc.submit(
-            "demo-projected",
-            forest("(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))"),
-        )
-        .unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
+        server
+            .register_with_mode(
+                "demo-projected",
+                normal,
+                OnDemandConfig {
+                    project_children: true,
+                    ..OnDemandConfig::default()
+                },
+            )
+            .unwrap();
+        let done = run_all(
+            &server,
+            vec![(
+                "demo-projected",
+                forest("(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))"),
+            )],
+        );
+        assert_eq!(failed(&done), 0);
         // The projected master still selects the RMW fold.
-        let red = report.results[0].reduce().unwrap();
+        let red = done[0].reduce().unwrap();
         assert_eq!(red.total_cost, odburg_grammar::Cost::finite(2));
     }
 
@@ -3057,32 +2459,34 @@ mod tests {
     #[test]
     fn memory_budget_is_enforced_per_target_in_drain() {
         let byte_budget = 24 * 1024;
-        let svc = SelectorService::new(ServiceConfig {
+        let server = SelectorServer::new(ServerConfig {
             workers: 2,
             memory_budget: Some(MemoryBudget::compact(byte_budget, 0.5)),
-            ..ServiceConfig::default()
+            ..ServerConfig::default()
         });
-        svc.register_normal("churn", churn_grammar()).unwrap();
+        server.register_normal("churn", churn_grammar()).unwrap();
+        let entry = server.shared.registry.entry("churn").unwrap();
+        let master = server.shared("churn").unwrap();
 
         let mut pressured = 0;
         for round in 0..24 {
-            for i in 0..12 {
-                let k = round * 100 + i;
-                svc.submit(
-                    "churn",
-                    forest(&format!("(StoreI8 (ConstI8 {k}) (ConstI8 {}))", k + 7)),
-                )
-                .unwrap();
-            }
-            let report = svc.drain();
-            assert_eq!(report.failed(), 0);
-            let t = &report.per_target[0];
+            let jobs = (0..12)
+                .map(|i| {
+                    let k = round * 100 + i;
+                    (
+                        "churn",
+                        forest(&format!("(StoreI8 (ConstI8 {k}) (ConstI8 {}))", k + 7)),
+                    )
+                })
+                .collect();
+            let done = run_all(&server, jobs);
+            assert_eq!(failed(&done), 0);
+            let table_bytes = master.accounted_bytes().total();
             assert!(
-                t.table_bytes <= byte_budget,
-                "round {round}: {} bytes exceed the budget",
-                t.table_bytes
+                table_bytes <= byte_budget,
+                "round {round}: {table_bytes} bytes exceed the budget"
             );
-            if let Some(event) = t.pressure {
+            if let Some(event) = entry.last_pressure.lock().unwrap().take() {
                 pressured += 1;
                 assert!(event.bytes_before > byte_budget);
                 assert!(event.bytes_after <= byte_budget);
@@ -3091,35 +2495,35 @@ mod tests {
         assert!(pressured > 0, "churn must trip the budget");
         // The governance activity is visible in the ordinary counters —
         // and the maintenance quanta that performed it are accounted.
-        let master = svc.shared("churn").unwrap();
         assert!(master.counters().compactions > 0);
         assert!(master.counters().states_evicted > 0);
-        assert!(master.counters().maintenance_runs > 0);
+        assert!(server.telemetry().target("churn").maintenance.count() > 0);
     }
 
     #[test]
     fn per_target_budget_overrides_the_service_default() {
-        let svc = SelectorService::new(ServiceConfig {
+        let server = SelectorServer::new(ServerConfig {
             workers: 1,
-            // A default so tight every target would flush each drain…
+            // A default so tight every target would flush after its job…
             memory_budget: Some(MemoryBudget::flush(1)),
-            ..ServiceConfig::default()
+            ..ServerConfig::default()
         });
-        svc.register_normal("governed", churn_grammar()).unwrap();
-        svc.register_normal("exempt", churn_grammar()).unwrap();
+        server.register_normal("governed", churn_grammar()).unwrap();
+        server.register_normal("exempt", churn_grammar()).unwrap();
         // …except the one opted out.
-        svc.set_memory_budget("exempt", None).unwrap();
+        server.set_memory_budget("exempt", None).unwrap();
         assert!(matches!(
-            svc.set_memory_budget("nope", None),
+            server.set_memory_budget("nope", None),
             Err(ServiceError::UnknownTarget { .. })
         ));
 
-        for target in ["governed", "exempt"] {
-            svc.submit(target, forest("(StoreI8 (ConstI8 1) (ConstI8 2))"))
-                .unwrap();
-        }
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
+        let jobs = ["governed", "exempt"]
+            .into_iter()
+            .map(|target| (target, forest("(StoreI8 (ConstI8 1) (ConstI8 2))")))
+            .collect();
+        let done = run_all(&server, jobs);
+        assert_eq!(failed(&done), 0);
+        let report = server.shutdown();
         let stats = |name: &str| {
             report
                 .per_target
@@ -3138,11 +2542,18 @@ mod tests {
 
     #[test]
     fn drain_on_empty_queue_is_a_cheap_no_op() {
-        let svc = SelectorService::with_builtin_targets(ServiceConfig::default());
-        let report = svc.drain();
-        assert!(report.results.is_empty());
+        // No jobs: waiting for idle returns at once and the report is
+        // empty — no master was built, no registry entry interned.
+        let server = SelectorServer::with_builtin_targets(ServerConfig::default());
+        let done = run_all(&server, Vec::new());
+        assert!(done.is_empty());
+        let report = server.shutdown();
         assert!(report.per_target.is_empty());
-        assert_eq!(report.latency.p99, Duration::ZERO);
+        assert_eq!(report.submitted, 0);
+        assert!(server.telemetry().targets().is_empty());
+        // Percentiles over no jobs (what `odburg batch` prints) are zero.
+        let latency = odburg_core::Histogram::from_durations(&[]);
+        assert_eq!(latency.quantile_duration(0.99), Duration::ZERO);
     }
 
     // -----------------------------------------------------------------
@@ -3179,7 +2590,7 @@ mod tests {
         assert_eq!(report.completed, 2);
         assert_eq!(report.deadline_missed + report.rejected, 0);
         // Maintenance ran in worker quanta, off the submit path.
-        assert!(report.counters().maintenance_runs > 0);
+        assert!(report.per_target.iter().any(|t| t.maintenance_quanta > 0));
     }
 
     #[test]
@@ -3238,7 +2649,7 @@ mod tests {
             .iter()
             .find(|t| t.target == "demo")
             .unwrap();
-        assert_eq!(demo.counters.deadline_misses, 1);
+        assert_eq!(demo.jobs.deadline_missed, 1);
     }
 
     #[test]
@@ -3278,7 +2689,7 @@ mod tests {
         }
         let report = server.shutdown();
         assert_eq!(report.completed, JOBS as u64);
-        let quanta = report.counters().maintenance_runs;
+        let quanta: u64 = report.per_target.iter().map(|t| t.maintenance_quanta).sum();
         let expected = (JOBS / (MAINTENANCE_STARVATION_BOUND + 1)) as u64;
         assert!(
             quanta >= expected,
@@ -3292,7 +2703,7 @@ mod tests {
         // A user-bound dyncost closure that panics on a poison value
         // must not take the worker down: the job completes with
         // JobError::Panicked, every other job (before and after) is
-        // unaffected, and shutdown still conserves the tallies.
+        // unaffected, and shutdown still conserves the job counts.
         let mut g = odburg_grammar::parse_grammar(
             "%grammar trap\n%start reg\n%dyncost trap\nreg: ConstI8 [trap]\n",
         )
@@ -3358,7 +2769,7 @@ mod tests {
     fn server_queue_full_is_a_typed_rejection() {
         // One worker deterministically wedged on a gated job, capacity
         // 1: the next submission fills the queue and the one after must
-        // be rejected as QueueFull, visible in the tallies and the
+        // be rejected as QueueFull, visible in the report and the
         // target's counters.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let server = SelectorServer::new(ServerConfig {
@@ -3397,7 +2808,7 @@ mod tests {
             .iter()
             .find(|t| t.target == "gated")
             .unwrap();
-        assert_eq!(gated.counters.rejected_submits, 1);
+        assert_eq!(gated.jobs.rejected, 1);
     }
 
     /// A grammar whose dynamic cost blocks until `gate` opens — the

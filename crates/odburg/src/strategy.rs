@@ -92,11 +92,9 @@ impl Strategy {
         }
     }
 
-    /// Whether this is the strategy the service front ends
-    /// ([`SelectorServer`](crate::service::SelectorServer) and the
-    /// batch-compatible
-    /// [`SelectorService`](crate::service::SelectorService)) label
-    /// with. They always run the shared snapshot core — its lock-free
+    /// Whether this is the strategy the service front end
+    /// ([`SelectorServer`](crate::service::SelectorServer)) labels
+    /// with. It always runs the shared snapshot core — its lock-free
     /// readers are what lets a persistent worker pool label
     /// concurrently — so the CLI rejects any other `--labeler` value
     /// on `batch`/`serve`.
@@ -321,8 +319,8 @@ impl AnyLabeler {
 
     /// Builds an on-demand-backed selector with an explicit automaton
     /// configuration — the way the CLI's `--memory-budget` and
-    /// `--budget-policy` flags reach [`BudgetPolicy`]
-    /// (odburg_core::BudgetPolicy). The strategy still dictates the
+    /// `--budget-policy` flags reach
+    /// [`BudgetPolicy`](odburg_core::BudgetPolicy). The strategy still dictates the
     /// projection mode (`mode.project_children` is overridden to match,
     /// so persisted-table compatibility via
     /// [`Strategy::ondemand_config`] is preserved).

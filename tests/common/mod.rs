@@ -112,3 +112,26 @@ pub fn total_cost(forest: &Forest, normal: &Arc<NormalGrammar>, chooser: &dyn Ru
         .expect("reduce")
         .total_cost
 }
+
+/// Waits on every handle in submission order, then for the maintenance
+/// quanta the jobs scheduled: the second half of a one-shot batch
+/// through a [`SelectorServer`], so table sizes sampled afterwards are
+/// post-enforcement.
+pub fn wait_all(server: &SelectorServer, handles: Vec<JobHandle>) -> Vec<CompletedJob> {
+    let done = handles.into_iter().map(JobHandle::wait).collect();
+    server.wait_idle();
+    done
+}
+
+/// Submits every `(target, forest)` job (the server's queue must hold
+/// them all), then [`wait_all`].
+pub fn run_all<'a>(
+    server: &SelectorServer,
+    jobs: impl IntoIterator<Item = (&'a str, Forest)>,
+) -> Vec<CompletedJob> {
+    let handles = jobs
+        .into_iter()
+        .map(|(target, forest)| server.try_submit(target, forest).expect("job accepted"))
+        .collect();
+    wait_all(server, handles)
+}

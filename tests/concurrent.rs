@@ -213,18 +213,17 @@ fn concurrent_flushes_stay_correct() {
 #[test]
 fn registry_churn_keeps_retired_snapshots_bounded() {
     // The hazard-pointer `arc_swap` shim under service-shaped registry
-    // churn: worker threads keep submitting and draining batches through
-    // a SelectorService whose master re-publishes a snapshot on nearly
+    // churn: client threads keep submitting batches to a SelectorServer
+    // and waiting on them, while its master re-publishes a snapshot on nearly
     // every job (a value-dependent dynamic cost interns a fresh
     // signature per distinct constant), while a dedicated writer thread
     // churns the same master directly. Throughout:
     //
-    // * no labeling may observe a torn snapshot — every drained job must
+    // * no labeling may observe a torn snapshot — every finished job must
     //   reduce to exactly the DpLabeler-optimal cost, and
     // * `snapshots_retained()` must stay bounded by what can still be
     //   referenced (live pins + readers mid-forest), never grow with the
     //   publication count.
-    use odburg::service::{SelectorService, ServiceConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let mut grammar = odburg::grammar::parse_grammar(
@@ -252,12 +251,18 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
         .unwrap();
     let normal = Arc::new(grammar.normalize());
 
-    let svc = Arc::new(SelectorService::new(ServiceConfig {
+    const DRAIN_THREADS: i64 = 4;
+    const ROUNDS: i64 = 12;
+    const JOBS_PER_ROUND: i64 = 4;
+    let server = SelectorServer::new(ServerConfig {
         workers: 2,
-        ..ServiceConfig::default()
-    }));
-    svc.register_normal("churn", Arc::clone(&normal)).unwrap();
-    let shared = svc.shared("churn").unwrap();
+        queue_cap: (DRAIN_THREADS * JOBS_PER_ROUND) as usize,
+        ..ServerConfig::default()
+    });
+    server
+        .register_normal("churn", Arc::clone(&normal))
+        .unwrap();
+    let shared = server.shared("churn").unwrap();
 
     let forest_for = |k: i64| {
         let mut f = Forest::new();
@@ -281,9 +286,6 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
             .total_cost
     };
 
-    const DRAIN_THREADS: i64 = 4;
-    const ROUNDS: i64 = 12;
-    const JOBS_PER_ROUND: i64 = 4;
     let max_retained = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
 
@@ -306,21 +308,23 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
         }
         let handles: Vec<_> = (0..DRAIN_THREADS)
             .map(|t| {
-                let svc = Arc::clone(&svc);
+                let server = &server;
                 let dp_cost = &dp_cost;
                 let forest_for = &forest_for;
                 scope.spawn(move || {
                     for round in 0..ROUNDS {
-                        for j in 0..JOBS_PER_ROUND {
-                            // Distinct constants per (thread, round, job):
-                            // almost every job takes the grow path.
-                            let k = t * 10_000 + round * 100 + j;
-                            svc.submit("churn", forest_for(k)).unwrap();
-                        }
-                        // Concurrent drains race for each other's jobs;
-                        // whatever this drain receives must be untorn.
-                        let report = svc.drain();
-                        for result in &report.results {
+                        let handles: Vec<JobHandle> = (0..JOBS_PER_ROUND)
+                            .map(|j| {
+                                // Distinct constants per (thread, round, job):
+                                // almost every job takes the grow path.
+                                let k = t * 10_000 + round * 100 + j;
+                                server.try_submit("churn", forest_for(k)).unwrap()
+                            })
+                            .collect();
+                        // Concurrent batches share the worker pool; every
+                        // job this thread gets back must be untorn.
+                        for handle in handles {
+                            let result = handle.wait();
                             let red = result.reduce().unwrap_or_else(|e| {
                                 panic!("thread {t} round {round}: torn labeling: {e}")
                             });
@@ -346,7 +350,7 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
         "churn workload must actually publish (got {published})"
     );
     // Bounded while under load: at most one pinned snapshot per
-    // in-flight job (each drain pins JOBS_PER_ROUND * DRAIN_THREADS at
+    // in-flight job (each round pins JOBS_PER_ROUND * DRAIN_THREADS at
     // worst) plus a guard per thread — far below the publication count.
     let bound = (DRAIN_THREADS * JOBS_PER_ROUND * DRAIN_THREADS + DRAIN_THREADS + 2) as usize;
     let observed = max_retained

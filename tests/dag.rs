@@ -1,11 +1,15 @@
 //! DAG instruction selection: tree grammars over hash-consed IR
 //! (the Ertl-1999 extension the paper's system family supports).
 
+mod common;
+
 use std::sync::Arc;
 
 use odburg::frontend::programs;
 use odburg::ir::cse_forest;
 use odburg::prelude::*;
+
+use common::run_all;
 
 #[test]
 fn dag_labeling_matches_tree_labeling_costs() {
@@ -108,8 +112,6 @@ fn rmw_dynamic_cost_sees_shared_address_identity() {
 
 #[test]
 fn service_labels_shared_dag_nodes_once_and_agrees_with_trees() {
-    use odburg::service::{SelectorService, ServiceConfig};
-
     let grammar = odburg::targets::x86ish();
     let normal = Arc::new(grammar.normalize());
 
@@ -130,38 +132,28 @@ fn service_labels_shared_dag_nodes_once_and_agrees_with_trees() {
     let dag = cse_forest(&tree);
     assert!(dag.len() < tree.len(), "CSE must share something");
 
-    let svc = SelectorService::with_builtin_targets(ServiceConfig {
+    let server = SelectorServer::with_builtin_targets(ServerConfig {
         workers: 2,
-        ..ServiceConfig::default()
+        ..ServerConfig::default()
     });
-    svc.submit("x86ish", dag.clone()).unwrap();
-    let report = svc.drain();
-    assert_eq!(report.failed(), 0);
-    assert_eq!(report.per_target[0].nodes, dag.len() as u64);
+    let cold = run_all(&server, [("x86ish", dag.clone())]);
+    assert!(cold[0].outcome.is_ok());
+    assert_eq!(cold[0].forest.len(), dag.len());
 
     // Shared nodes are labeled exactly once: a second submission of the
     // DAG is answered with exactly one memo hit per DAG node — not one
     // per tree occurrence — and no misses.
-    svc.submit("x86ish", dag.clone()).unwrap();
-    let warm = svc.drain();
-    let stats = &warm.per_target[0];
-    assert_eq!(
-        stats.counters.nodes,
-        dag.len() as u64,
-        "{:?}",
-        stats.counters
-    );
-    assert_eq!(
-        stats.counters.memo_hits,
-        dag.len() as u64,
-        "{:?}",
-        stats.counters
-    );
-    assert_eq!(stats.counters.memo_misses, 0, "{:?}", stats.counters);
+    let master = server.shared("x86ish").unwrap();
+    let before = master.counters();
+    run_all(&server, [("x86ish", dag.clone())]);
+    let counters = master.counters().since(&before);
+    assert_eq!(counters.nodes, dag.len() as u64, "{counters:?}");
+    assert_eq!(counters.memo_hits, dag.len() as u64, "{counters:?}");
+    assert_eq!(counters.memo_misses, 0, "{counters:?}");
 
     // The service's DAG reduction is bit-identical (instructions and
     // cost) to a fresh DP-oracle reduction of the same DAG…
-    let service_red = report.results[0].reduce().unwrap();
+    let service_red = cold[0].reduce().unwrap();
     let mut dp = DpLabeler::new(normal.clone());
     let dp_labeling = dp.label_forest(&dag).unwrap();
     let oracle_red = odburg::codegen::reduce_forest(&dag, &normal, &dp_labeling).unwrap();

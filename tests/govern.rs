@@ -5,10 +5,13 @@
 //! fresh `DpLabeler` oracle, while the accounted table bytes stay under
 //! the budget.
 
+mod common;
+
 use std::sync::Arc;
 
 use odburg::prelude::*;
-use odburg::service::{SelectorService, ServiceConfig};
+
+use common::run_all;
 
 /// A grammar where every distinct constant mints a distinct signature
 /// *and* a distinct normalized state (the imm/reg spread is the value),
@@ -152,7 +155,7 @@ fn single_threaded_compact_policy_is_bit_identical_to_dp() {
 
 #[test]
 fn service_budget_enforcement_is_bit_identical_to_dp() {
-    // Both pressure actions, through the whole service stack: every job
+    // Both pressure actions, through the whole server stack: every job
     // of every batch — batches before, at and after enforcement — must
     // reduce exactly like the oracle.
     let normal = churn_grammar();
@@ -160,25 +163,27 @@ fn service_budget_enforcement_is_bit_identical_to_dp() {
         MemoryBudget::compact(10 * 1024, 0.5),
         MemoryBudget::flush(10 * 1024),
     ] {
-        let svc = SelectorService::new(ServiceConfig {
+        let server = SelectorServer::new(ServerConfig {
             workers: 2,
             memory_budget: Some(budget),
-            ..ServiceConfig::default()
+            ..ServerConfig::default()
         });
-        svc.register_normal("churn", Arc::clone(&normal)).unwrap();
-        let mut held: Vec<(odburg::service::JobResult, Reduction)> = Vec::new();
-        let mut pressured = false;
+        server
+            .register_normal("churn", Arc::clone(&normal))
+            .unwrap();
+        let master = server.shared("churn").unwrap();
+        let mut held: Vec<(CompletedJob, Reduction)> = Vec::new();
         for round in 0..30 {
-            for i in 0..8u64 {
-                svc.submit("churn", churn_forest(round * 80 + i * 9))
-                    .unwrap();
-            }
-            let report = svc.drain();
-            assert_eq!(report.failed(), 0, "round {round}");
-            let t = &report.per_target[0];
-            pressured |= t.pressure.is_some();
-            assert!(t.table_bytes <= 10 * 1024, "round {round}");
-            for job in report.results {
+            let done = run_all(
+                &server,
+                (0..8u64).map(|i| ("churn", churn_forest(round * 80 + i * 9))),
+            );
+            assert!(done.iter().all(|job| job.outcome.is_ok()), "round {round}");
+            assert!(
+                master.accounted_bytes().total() <= 10 * 1024,
+                "round {round}"
+            );
+            for job in done {
                 let expected = oracle_reduction(&normal, &job.forest);
                 let got = job.reduce().unwrap();
                 assert_eq!(got.instructions, expected.instructions);
@@ -188,6 +193,7 @@ fn service_budget_enforcement_is_bit_identical_to_dp() {
                 }
             }
         }
+        let pressured = server.shutdown().per_target[0].pressure.is_some();
         assert!(pressured, "{budget:?} never tripped");
         // Early jobs, pinned to long-retired epochs, still agree.
         for (job, expected) in &held {

@@ -153,12 +153,9 @@ fn queue_full_backpressure_never_loses_a_job() {
     assert_eq!(report.rejected, rejected);
     assert_eq!(report.completed + report.deadline_missed, report.accepted);
     assert_eq!(report.deadline_missed, 0, "no deadlines were set");
-    let churn = &report.per_target[0];
-    assert_eq!(churn.counters.rejected_submits, rejected);
-    assert!(
-        churn.counters.maintenance_runs > 0,
-        "quanta ran between jobs"
-    );
+    let churn = server.telemetry().target("churn");
+    assert_eq!(churn.counts.snapshot().rejected, rejected);
+    assert!(churn.maintenance.count() > 0, "quanta ran between jobs");
 }
 
 proptest! {
@@ -227,8 +224,8 @@ proptest! {
         prop_assert_eq!(report.completed, labeled);
         prop_assert_eq!(report.deadline_missed, expired);
         prop_assert_eq!(labeled + expired, 6, "conservation across the race");
-        let race = &report.per_target[0];
-        prop_assert_eq!(race.counters.deadline_misses, expired);
+        let race = server.telemetry().target(&report.per_target[0].target);
+        prop_assert_eq!(race.counts.snapshot().deadline_missed, expired);
     }
 }
 
@@ -277,7 +274,7 @@ fn shutdown_with_pins_straddling_compaction_is_bit_identical() {
     let master = server.shared("churn").unwrap();
     let counters = master.counters();
     assert!(counters.compactions > 0, "churn must compact: {counters}");
-    assert!(counters.maintenance_runs > 0);
+    assert!(server.telemetry().target("churn").maintenance.count() > 0);
     assert!(
         master.accounted_bytes().total() <= 10 * 1024,
         "maintenance quanta keep the budget"

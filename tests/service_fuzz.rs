@@ -1,6 +1,7 @@
 //! Differential fuzzing of the selection service: proptest-generated
-//! random grammars and forests go through [`SelectorService`]'s batch
-//! path (worker pool, snapshot pinning, registry), and every result is
+//! random grammars and forests go through a [`SelectorServer`] as
+//! one-shot batches (worker pool, snapshot pinning, registry), and every
+//! result is
 //! cross-checked **bit-identically** — full instruction sequence and
 //! total cost — against a fresh [`DpLabeler`] oracle built for just
 //! that job. The service is allowed no deviation at all: the concurrent
@@ -14,10 +15,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use odburg::prelude::*;
-use odburg::service::SelectorService;
 use odburg::workloads::TreeSampler;
 
-use common::random_grammar;
+use common::{random_grammar, run_all, wait_all};
 
 /// The oracle: a fresh iburg-style dynamic-programming labeler, built
 /// from scratch for one forest, reduced to instructions.
@@ -27,11 +27,15 @@ fn dp_reduction(forest: &Forest, normal: &Arc<NormalGrammar>) -> Reduction {
     odburg::codegen::reduce_forest(forest, normal, &labeling).expect("dp reduces")
 }
 
-fn two_workers() -> ServiceConfig {
-    ServiceConfig {
+fn two_workers() -> SelectorServer {
+    SelectorServer::new(ServerConfig {
         workers: 2,
-        ..ServiceConfig::default()
-    }
+        ..ServerConfig::default()
+    })
+}
+
+fn failed(done: &[CompletedJob]) -> usize {
+    done.iter().filter(|d| d.outcome.is_err()).count()
 }
 
 proptest! {
@@ -41,13 +45,13 @@ proptest! {
 
     #[test]
     fn service_batches_agree_bit_identically_with_dp(seed in 0u64..1_000_000) {
-        let svc = SelectorService::new(two_workers());
+        let server = two_workers();
         let alpha = Arc::new(random_grammar(seed).normalize());
         let beta = Arc::new(random_grammar(seed ^ 0x5EED).normalize());
-        svc.register_normal("alpha", Arc::clone(&alpha)).unwrap();
+        server.register_normal("alpha", Arc::clone(&alpha)).unwrap();
         // One projection-mode master per batch: lazy representer states
         // must be just as invisible as the direct tables.
-        svc.register_with_mode(
+        server.register_with_mode(
             "beta",
             Arc::clone(&beta),
             OnDemandConfig { project_children: true, ..OnDemandConfig::default() },
@@ -55,28 +59,30 @@ proptest! {
         .unwrap();
 
         let mut expected: Vec<(Ticket, Arc<NormalGrammar>, Forest)> = Vec::new();
-        let mut enqueue = |svc: &SelectorService, name: &str, normal: &Arc<NormalGrammar>, salt: u64| {
+        let mut handles: Vec<JobHandle> = Vec::new();
+        let mut enqueue = |server: &SelectorServer, name: &str, normal: &Arc<NormalGrammar>, salt: u64| {
             let mut sampler = TreeSampler::new(normal, seed ^ salt);
             let forest = sampler.sample_forest(8);
-            let ticket = svc.submit(name, forest.clone()).unwrap();
-            expected.push((ticket, Arc::clone(normal), forest));
+            let handle = server.try_submit(name, forest.clone()).unwrap();
+            expected.push((handle.ticket(), Arc::clone(normal), forest));
+            handles.push(handle);
         };
-        enqueue(&svc, "alpha", &alpha, 0xA1);
-        enqueue(&svc, "beta", &beta, 0xB2);
+        enqueue(&server, "alpha", &alpha, 0xA1);
+        enqueue(&server, "beta", &beta, 0xB2);
         // Mid-batch registration: a third grammar joins while jobs are
-        // already queued, and serves the same batch.
+        // already in flight, and serves the same batch.
         let gamma = Arc::new(random_grammar(seed ^ 0xC0C0).normalize());
-        svc.register_normal("gamma", Arc::clone(&gamma)).unwrap();
-        enqueue(&svc, "gamma", &gamma, 0xC3);
+        server.register_normal("gamma", Arc::clone(&gamma)).unwrap();
+        enqueue(&server, "gamma", &gamma, 0xC3);
         // And the first target again, now against warmed tables.
-        enqueue(&svc, "alpha", &alpha, 0xA4);
+        enqueue(&server, "alpha", &alpha, 0xA4);
 
-        let report = svc.drain();
-        prop_assert_eq!(report.results.len(), expected.len());
-        prop_assert_eq!(report.failed(), 0);
-        prop_assert_eq!(svc.pending(), 0);
+        let done = wait_all(&server, handles);
+        prop_assert_eq!(done.len(), expected.len());
+        prop_assert_eq!(failed(&done), 0);
+        prop_assert_eq!(server.queue_depth(), 0);
 
-        for (result, (ticket, normal, forest)) in report.results.iter().zip(&expected) {
+        for (result, (ticket, normal, forest)) in done.iter().zip(&expected) {
             prop_assert_eq!(result.ticket, *ticket);
             prop_assert_eq!(result.forest.len(), forest.len());
             let got = result.reduce().expect("service job reduces");
@@ -92,11 +98,12 @@ proptest! {
         }
 
         // The per-target accounting covers exactly the submitted jobs.
-        let jobs_accounted: usize = report.per_target.iter().map(|t| t.jobs).sum();
-        prop_assert_eq!(jobs_accounted, expected.len());
+        let report = server.shutdown();
+        let jobs_accounted: u64 = report.per_target.iter().map(|t| t.jobs.completed).sum();
+        prop_assert_eq!(jobs_accounted, expected.len() as u64);
         for t in &report.per_target {
-            prop_assert_eq!(t.failed, 0);
-            prop_assert!(t.epochs.is_some());
+            prop_assert_eq!(t.jobs.failed, 0);
+            prop_assert!(done.iter().any(|d| d.target == t.target && d.epoch().is_some()));
         }
     }
 
@@ -105,27 +112,25 @@ proptest! {
         // A forest using an operator the grammar has no rule for must
         // come back as a per-job NoCover, while every other job in the
         // same batch still matches the oracle.
-        let svc = SelectorService::new(two_workers());
+        let server = two_workers();
         let normal = Arc::new(random_grammar(seed).normalize());
-        svc.register_normal("only", Arc::clone(&normal)).unwrap();
+        server.register_normal("only", Arc::clone(&normal)).unwrap();
 
         let mut sampler = TreeSampler::new(&normal, seed ^ 0x0DD);
         let good = sampler.sample_forest(6);
-        svc.submit("only", good.clone()).unwrap();
 
         let mut bad = Forest::new();
         let root = parse_sexpr(&mut bad, "(MulF8 (ConstF8 #1.5) (ConstF8 #2.5))").unwrap();
         bad.add_root(root);
-        svc.submit("only", bad).unwrap();
 
-        let report = svc.drain();
-        prop_assert_eq!(report.failed(), 1);
-        prop_assert!(report.results[0].outcome.is_ok());
+        let done = run_all(&server, [("only", good.clone()), ("only", bad)]);
+        prop_assert_eq!(failed(&done), 1);
+        prop_assert!(done[0].outcome.is_ok());
         prop_assert!(matches!(
-            report.results[1].outcome,
-            Err(LabelError::NoCover { .. })
+            done[1].outcome,
+            Err(JobError::Label(LabelError::NoCover { .. }))
         ));
-        let got = report.results[0].reduce().expect("good job reduces");
+        let got = done[0].reduce().expect("good job reduces");
         let want = dp_reduction(&good, &normal);
         prop_assert_eq!(&got.instructions, &want.instructions);
         prop_assert_eq!(got.total_cost, want.total_cost);
