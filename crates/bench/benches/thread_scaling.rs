@@ -1,7 +1,6 @@
 //! Thread-scaling of the concurrent labeling core: warmed-automaton
-//! labeling throughput at 1/2/4/8 threads, snapshot-based
-//! [`SharedOnDemand`] vs the coarse-lock [`CoarseSharedOnDemand`]
-//! baseline.
+//! labeling throughput of the snapshot-based [`SharedOnDemand`] at
+//! 1/2/4/8 threads.
 //!
 //! Each measured iteration is one *parallel round*: every thread labels
 //! the whole warm workload once, so the per-iteration element count is
@@ -14,18 +13,15 @@
 //!
 //! Note on hardware: aggregate throughput can only rise with thread
 //! count when more than one CPU is available. On a single-core runner
-//! (like the CI container this repository is developed in) both
-//! implementations flatline at the 1-thread rate — the meaningful
-//! single-core readout is that the snapshot path's warm throughput
-//! matches the coarse lock's (i.e. lock-freedom costs nothing), while
-//! the scaling columns need multi-core hardware to separate.
+//! the throughput flatlines at the 1-thread rate; the scaling column
+//! needs multi-core hardware to separate.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use odburg_core::{CoarseSharedOnDemand, OnDemandAutomaton, SharedOnDemand};
+use odburg_core::{OnDemandAutomaton, SharedOnDemand};
 use odburg_ir::Forest;
 use odburg_workloads::{combined_workload, random_workload, replicate};
 
@@ -81,26 +77,12 @@ fn bench_thread_scaling(c: &mut Criterion) {
                 })
             },
         );
-
-        let coarse = CoarseSharedOnDemand::new(OnDemandAutomaton::new(normal.clone()));
-        coarse.label_forest(&forest).expect("warmup");
-        group.bench_with_input(
-            BenchmarkId::new("coarse", threads),
-            &threads,
-            |b, &threads| {
-                b.iter_custom(|iters| {
-                    parallel_round(threads, iters, &|| {
-                        criterion::black_box(coarse.label_forest(&forest).expect("labels"));
-                    })
-                })
-            },
-        );
     }
     group.finish();
 
-    // Scaling summary: aggregate nodes/sec per configuration, and the
+    // Scaling summary: aggregate nodes/sec per thread count, and the
     // snapshot core's speedup over one thread (the ≥2x-at-4-threads
-    // criterion) and over the coarse lock.
+    // criterion).
     let tput = |id: &str| {
         c.results()
             .iter()
@@ -109,19 +91,11 @@ fn bench_thread_scaling(c: &mut Criterion) {
             .unwrap_or(0.0)
     };
     println!("\nthread-scaling summary (aggregate labeled nodes/sec):");
-    println!(
-        "{:>8} {:>16} {:>16} {:>10} {:>12}",
-        "threads", "snapshot", "coarse", "vs coarse", "vs 1-thread"
-    );
+    println!("{:>8} {:>16} {:>12}", "threads", "snapshot", "vs 1-thread");
     let base = tput("snapshot/1");
     for &t in &THREADS {
         let s = tput(&format!("snapshot/{t}"));
-        let l = tput(&format!("coarse/{t}"));
-        println!(
-            "{t:>8} {s:>16.3e} {l:>16.3e} {:>9.2}x {:>11.2}x",
-            s / l,
-            s / base
-        );
+        println!("{t:>8} {s:>16.3e} {:>11.2}x", s / base);
     }
 }
 

@@ -1,21 +1,25 @@
 //! **The warm labeling hot path: dense index vs. the FxHashMap
 //! baseline.**
 //!
-//! Every snapshot publication now additionally builds a dense warm-path
-//! index — per-operator grouped, open-addressed transition slots plus
-//! structure-of-arrays state facts — and the lock-free fast path labels
-//! forests by topological levels against it. This binary measures what
-//! that buys on a **fully warm** snapshot: ns/node for the dense
-//! level-batched walk (`AutomatonSnapshot::label_warm`) against the
-//! retained per-node `FxHashMap` walk (`label_warm_hash`, the exact
-//! pre-dense fast path) across the six built-in targets.
+//! Every snapshot publication builds a dense warm-path index —
+//! per-operator grouped, open-addressed transition slots plus
+//! structure-of-arrays state facts — and it is the only table a
+//! snapshot keeps; the lock-free fast path labels forests by
+//! topological levels against it. This binary measures what that buys
+//! on a **fully warm** automaton: ns/node for the dense level-batched
+//! walk (`AutomatonSnapshot::label_warm`) against a per-node
+//! `FxHashMap` walk over the master automaton's public probes
+//! (`find_signature`, `peek_transition`) — the pre-dense fast path,
+//! kept here in bench code as [`hash_walk`] with the same per-node key
+//! construction and dead check — across the six built-in targets.
 //!
-//! Both walks run over the same published snapshot and the same
-//! sampled forest, and are asserted to resolve identical states with
-//! **zero** warm misses — the comparison is purely the lookup
-//! structures. The summary is written to `target/label_hot.json` for
-//! the CI hot-path smoke job; absolute numbers come from a single-CPU
-//! dev container, so read the ratios, not the nanoseconds.
+//! Both walks run over the same tables (the snapshot and the master it
+//! was published from) and the same sampled forest, and are asserted
+//! to resolve identical states with **zero** warm misses — the
+//! comparison is purely the lookup structures. The summary is written
+//! to `target/label_hot.json` for the CI hot-path smoke job; absolute
+//! numbers come from a small shared container, so read the ratios, not
+//! the nanoseconds.
 //!
 //! Regenerate with: `cargo run --release -p odburg_bench --bin label_hot`
 
@@ -23,7 +27,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use odburg_bench::{f, median_time, row, rule_line};
-use odburg_core::{OnDemandAutomaton, SharedOnDemand, WorkCounters};
+use odburg_core::signature::SigId;
+use odburg_core::{OnDemandAutomaton, SharedOnDemand, StateId, WarmWalk, WorkCounters};
+use odburg_grammar::{CostExpr, DynCostFn, NormalGrammar, RuleCost};
+use odburg_ir::{Forest, Op, OpId, NUM_OPS};
 use odburg_workloads::TreeSampler;
 
 const TREES: usize = 400;
@@ -77,6 +84,8 @@ fn main() {
         let shared = SharedOnDemand::new(OnDemandAutomaton::new(Arc::clone(&normal)));
         shared.label_forest(&forest).expect("workload labels");
         let snap = shared.snapshot();
+        let master = shared.into_inner();
+        let dyn_fns = dyn_cost_fns(&normal);
 
         // The snapshot must answer the whole forest warm through both
         // walks, with identical states — otherwise the timing below
@@ -90,9 +99,9 @@ fn main() {
         );
         assert_eq!(warm_misses, 0, "{name}: dense warm walk missed");
         let mut hash_counters = WorkCounters::new();
-        let hash_walk = snap.label_warm_hash(&forest, &mut hash_counters);
+        let baseline = hash_walk(&master, &dyn_fns, &forest, &mut hash_counters);
         assert_eq!(
-            hash_walk.states, dense_walk.states,
+            baseline.states, dense_walk.states,
             "{name}: dense and hash walks disagree"
         );
 
@@ -113,7 +122,9 @@ fn main() {
             let hash_t = median_time(1, || {
                 for _ in 0..iters {
                     let mut c = WorkCounters::new();
-                    std::hint::black_box(snap.label_warm_hash(&forest, &mut c).states.len());
+                    std::hint::black_box(
+                        hash_walk(&master, &dyn_fns, &forest, &mut c).states.len(),
+                    );
                 }
             });
             if rep == 0 {
@@ -208,4 +219,82 @@ fn main() {
     std::fs::create_dir_all("target").ok();
     std::fs::write("target/label_hot.json", &json).expect("write target/label_hot.json");
     println!("\nwrote target/label_hot.json");
+}
+
+/// Per operator id, the cost functions of its dynamic base rules
+/// followed by the grammar's dynamic chain rules — the same flattened
+/// dispatch the snapshot's warm walk evaluates through, so both walks
+/// pay identical dynamic-cost work.
+fn dyn_cost_fns(grammar: &NormalGrammar) -> Vec<Vec<DynCostFn>> {
+    let resolve = |&r: &odburg_grammar::NormalRuleId| -> DynCostFn {
+        match grammar.rule(r).cost {
+            CostExpr::Dynamic(id) => grammar.dyncosts()[id.0 as usize].func.clone(),
+            CostExpr::Fixed(c) => Arc::new(move |_: &Forest, _| RuleCost::Finite(c)),
+        }
+    };
+    (0..NUM_OPS as u16)
+        .map(|id| match Op::from_id(OpId(id)) {
+            Some(op) => grammar
+                .dynamic_base_rules(op)
+                .iter()
+                .chain(grammar.dynamic_chain_rules())
+                .map(resolve)
+                .collect(),
+            None => Vec::new(),
+        })
+        .collect()
+}
+
+/// The `FxHashMap` warm walk the dense index replaced: arena order, per
+/// node one interner probe for a dynamic node's signature, one
+/// `peek_transition` (a hashed projection resolution per child in
+/// projection mode, then the hash-map probe), and the dead check
+/// through the `Arc` state arena. Stops at the first miss, like the
+/// dense walk.
+fn hash_walk(
+    master: &OnDemandAutomaton,
+    dyn_fns: &[Vec<DynCostFn>],
+    forest: &Forest,
+    counters: &mut WorkCounters,
+) -> WarmWalk {
+    let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
+    let mut scratch: Vec<RuleCost> = Vec::new();
+    for (id, node) in forest.iter() {
+        let op = node.op();
+        let mut kids = [StateId(0); 2];
+        for (i, &c) in node.children().iter().enumerate() {
+            kids[i] = states[c.index()];
+        }
+        counters.nodes += 1;
+        counters.hash_lookups += 1;
+        let fns = &dyn_fns[op.id().0 as usize];
+        let sig = if fns.is_empty() {
+            SigId::EMPTY
+        } else {
+            scratch.clear();
+            scratch.extend(fns.iter().map(|f| f(forest, id)));
+            counters.dyncost_evals += fns.len() as u64;
+            match master.find_signature(&scratch) {
+                Some(s) => s,
+                None => break,
+            }
+        };
+        match master.peek_transition(op, &kids[..op.arity()], sig) {
+            Some(sid) => {
+                if master.state(sid).is_dead() {
+                    return WarmWalk {
+                        states,
+                        nocover: Some(id),
+                    };
+                }
+                counters.memo_hits += 1;
+                states.push(sid);
+            }
+            None => break,
+        }
+    }
+    WarmWalk {
+        states,
+        nocover: None,
+    }
 }

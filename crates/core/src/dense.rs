@@ -1,13 +1,12 @@
-//! The dense warm-path index: flat, cache-friendly mirrors of a
-//! snapshot's tables, built once at publication.
+//! The dense warm-path index: the flat, cache-friendly tables a
+//! published snapshot answers from, built once at publication.
 //!
-//! The published [`AutomatonSnapshot`](crate::AutomatonSnapshot) answers
-//! the warm path from an `FxHashMap<TransKey, StateId>` — correct, but
-//! every node pays a SipHash-free-yet-still-real hash of a 16-byte key,
-//! a bucket probe through `hashbrown`-style control bytes, and (for the
-//! dead-state check) an `Arc` dereference plus a scan of the state's
-//! cost vector. The paper's bet is that the warm path is a *pure table
-//! lookup*; this module makes the lookup look like one to the hardware:
+//! The mutable master automaton memoizes into `FxHashMap`s — correct,
+//! but every node would pay a hash of a 16-byte key, a bucket probe
+//! through `hashbrown`-style control bytes, and (for the dead-state
+//! check) an `Arc` dereference plus a scan of the state's cost vector.
+//! The paper's bet is that the warm path is a *pure table lookup*; this
+//! module makes the lookup look like one to the hardware:
 //!
 //! * **Per-operator grouped transition slots** — all transitions of one
 //!   operator live in a contiguous, open-addressed, power-of-two region
@@ -25,23 +24,29 @@
 //!   projection resolution is one probe of a flat `(packed key, value)`
 //!   table instead of a second `FxHashMap` hash per child.
 //!
-//! The index is **derived, never serialized**: it is rebuilt from the
-//! canonical tables at every snapshot publication and at
+//! The index is the **only** table representation a snapshot keeps: it
+//! stores every key it was built from, so the snapshot's other readers
+//! (persist export, [`OnDemandAutomaton::from_snapshot`], `stats`)
+//! enumerate it ([`DenseIndex::transitions`],
+//! [`DenseIndex::projections`], [`DenseIndex::signatures`]) instead of
+//! a hash-map copy. It is **never serialized**: it is built from the
+//! master's tables at every publication and at
 //! [`persist`](crate::persist) import, and its footprint is a
 //! deterministic function of the table contents ([`IndexShape`]) so the
 //! memory governor can account for it without materializing anything
 //! (see [`ComponentBytes::dense_index`](crate::ComponentBytes)).
+//! `tests/dense_index.rs` property-checks exact hit/miss agreement with
+//! the master's hash tables, including across compaction rebuilds that
+//! remap ids.
 //!
-//! The `FxHashMap` tables stay on the snapshot as the canonical (and
-//! benchmark-baseline) representation; the index never disagrees with
-//! them — `tests/dense_index.rs` property-checks exact hit/miss
-//! agreement, including across compaction rebuilds that remap ids.
+//! [`OnDemandAutomaton::from_snapshot`]: crate::OnDemandAutomaton::from_snapshot
 
 use std::sync::Arc;
 
 use odburg_grammar::{NormalRuleId, NtId, RuleCost};
 
 use crate::fxhash::FxHashMap;
+use crate::govern::TableCounts;
 use crate::signature::{SigId, SignatureInterner};
 use crate::snapshot::TransKey;
 use crate::state::{StateData, StateId};
@@ -176,6 +181,15 @@ fn encode_cost(c: RuleCost) -> u32 {
     }
 }
 
+/// Inverse of [`encode_cost`].
+fn decode_cost(w: u32) -> RuleCost {
+    if w == u32::MAX {
+        RuleCost::Infinite
+    } else {
+        RuleCost::Finite(w as u16)
+    }
+}
+
 /// Fixed-seed hash of a dynamic-cost vector (FNV-1a over the encoded
 /// words, with a final avalanche). Like [`mix`], the seed is a
 /// compile-time constant so the slot layout is a pure function of the
@@ -213,6 +227,11 @@ fn mix_proj(key: u64) -> u64 {
 #[inline(always)]
 fn pack_proj(full: u32, op: u16, pos: u8) -> u64 {
     ((full as u64) << 24) | ((op as u64) << 8) | (pos as u64)
+}
+
+/// Inverse of [`pack_proj`].
+fn unpack_proj(key: u64) -> (StateId, u16, u8) {
+    (StateId((key >> 24) as u32), (key >> 8) as u16, key as u8)
 }
 
 /// Slot count for an open-addressed region holding `n` entries: the
@@ -321,8 +340,8 @@ pub(crate) struct DenseIndex {
 }
 
 impl DenseIndex {
-    /// Builds the index from a snapshot's canonical tables. Cold path:
-    /// runs once per publication / import.
+    /// Builds the index from the master's tables. Cold path: runs once
+    /// per publication / import.
     ///
     /// `sig_static(op)` must return `true` only when a node with that
     /// operator provably has the empty dynamic-cost signature (no
@@ -607,6 +626,60 @@ impl DenseIndex {
                 .all(|(&w, &c)| w == encode_cost(c))
     }
 
+    /// Every memoized transition, enumerated from the slots (unspecified
+    /// order): the operator is the group index, the target the slot
+    /// word without [`DEAD_BIT`].
+    pub fn transitions(&self) -> impl Iterator<Item = (TransKey, StateId)> + '_ {
+        self.groups
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.mask != 0)
+            .flat_map(move |(op, g)| {
+                let start = g.offset as usize;
+                self.slots[start..=start + g.mask as usize]
+                    .iter()
+                    .filter(|s| s.state != EMPTY_STATE)
+                    .map(move |s| {
+                        let key = TransKey {
+                            op: op as u16,
+                            kids: [s.kid0, s.kid1],
+                            sig: SigId(s.sig),
+                        };
+                        (key, StateId(s.state & !DEAD_BIT))
+                    })
+            })
+    }
+
+    /// Every projection-cache entry, unpacked from the slot keys
+    /// (unspecified order).
+    pub fn projections(&self) -> impl Iterator<Item = ((StateId, u16, u8), StateId)> + '_ {
+        self.proj_slots
+            .iter()
+            .filter(|s| s.key != EMPTY_PROJ_KEY)
+            .map(|s| (unpack_proj(s.key), StateId(s.val)))
+    }
+
+    /// Every interned signature's cost vector, in id order (the empty
+    /// signature first), decoded from the flattened cost words.
+    pub fn signatures(&self) -> impl Iterator<Item = Vec<RuleCost>> + '_ {
+        self.sig_offsets.windows(2).map(|w| {
+            self.sig_costs[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(|&c| decode_cost(c))
+                .collect()
+        })
+    }
+
+    /// Entry counts of the tables the index was built from.
+    pub fn counts(&self) -> TableCounts {
+        TableCounts {
+            transitions: self.transitions().count(),
+            cached_projections: self.projections().count(),
+            signatures: self.sig_offsets.len() - 1,
+            sig_cost_words: self.sig_costs.len(),
+        }
+    }
+
     /// Flat-array twin of [`StateData::rule`]; bounds-checked so stale
     /// ids degrade to `None`, never panic.
     #[inline(always)]
@@ -741,6 +814,42 @@ mod tests {
                 RuleCost::Finite(0)
             ]),
             None
+        );
+    }
+
+    #[test]
+    fn enumeration_returns_exactly_the_built_tables() {
+        let mut transitions: FxHashMap<TransKey, StateId> = FxHashMap::default();
+        for i in 0..50u32 {
+            transitions.insert(key((i % 4) as u16, [i, NO_CHILD], i % 3), StateId(i));
+        }
+        let mut cache: FxHashMap<(StateId, u16, u8), StateId> = FxHashMap::default();
+        for i in 0..20u32 {
+            cache.insert((StateId(i * 7), (i % 5) as u16, (i % 2) as u8), StateId(i));
+        }
+        let mut sigs = SignatureInterner::new();
+        sigs.intern(&[RuleCost::Finite(3), RuleCost::Infinite]);
+        sigs.intern(&[RuleCost::Finite(u16::MAX)]);
+        // State 0 is dead: its slot word carries DEAD_BIT, which the
+        // enumeration must strip.
+        let states = [Arc::new(StateData::empty(2))];
+        let idx = DenseIndex::build(&states, &transitions, &cache, &sigs, |_| false);
+        assert_eq!(idx.lookup_enc(idx.group(0), 0, NO_CHILD, 0), Some(DEAD_BIT));
+        let enumerated: FxHashMap<TransKey, StateId> = idx.transitions().collect();
+        assert_eq!(enumerated, transitions);
+        let projections: FxHashMap<(StateId, u16, u8), StateId> = idx.projections().collect();
+        assert_eq!(projections, cache);
+        let decoded: Vec<Vec<RuleCost>> = idx.signatures().collect();
+        let interned: Vec<Vec<RuleCost>> = sigs.iter().map(<[RuleCost]>::to_vec).collect();
+        assert_eq!(decoded, interned);
+        assert_eq!(
+            idx.counts(),
+            TableCounts {
+                transitions: 50,
+                cached_projections: 20,
+                signatures: 3,
+                sig_cost_words: 3,
+            }
         );
     }
 

@@ -44,6 +44,8 @@
 
 use std::sync::Arc;
 
+use odburg_grammar::RuleCost;
+
 use crate::dense;
 use crate::fxhash::FxHashMap;
 use crate::signature::{SigId, SignatureInterner};
@@ -205,9 +207,9 @@ pub(crate) fn compact_target_bytes(byte_budget: usize, retain_fraction: f32) -> 
     (byte_budget as f64 * fraction as f64) as usize
 }
 
-/// A borrowed view of one automaton's tables, shared by the accounting
-/// and compaction passes (master automata, snapshots and the persist
-/// inspector all present themselves this way).
+/// A borrowed view of one automaton's hash tables, shared by the
+/// accounting and compaction passes and the dense-index build (master
+/// automata and the persist reader present themselves this way).
 pub(crate) struct TableView<'a> {
     pub states: &'a [Arc<StateData>],
     pub projections: &'a [Arc<StateData>],
@@ -217,36 +219,58 @@ pub(crate) struct TableView<'a> {
     pub project_children: bool,
 }
 
+/// Entry counts of a table set — everything the byte accounting needs
+/// beyond the state arenas. A master reads them off its hash tables, a
+/// snapshot off its dense index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TableCounts {
+    pub transitions: usize,
+    pub cached_projections: usize,
+    /// Interned signatures, including the empty one.
+    pub signatures: usize,
+    /// Total cost entries across all interned signatures.
+    pub sig_cost_words: usize,
+}
+
 /// Accounted bytes of a full table set, including the dense warm-path
 /// index these tables imply (a pure function of the entry counts — no
 /// index is materialized here).
 pub(crate) fn account_tables(view: &TableView<'_>) -> ComponentBytes {
+    let counts = TableCounts {
+        transitions: view.transitions.len(),
+        cached_projections: view.projection_cache.len(),
+        signatures: view.signatures.len(),
+        sig_cost_words: view.signatures.iter().map(|s| s.len()).sum(),
+    };
     let dense_shape = dense::shape_of(
         view.transitions.keys().map(|k| k.op),
-        view.projection_cache.len(),
+        counts.cached_projections,
         view.states.iter(),
-        view.signatures.len(),
-        view.signatures.iter().map(|s| s.len()).sum(),
+        counts.signatures,
+        counts.sig_cost_words,
     );
+    component_bytes(view.states, view.projections, counts, dense_shape.bytes())
+}
+
+/// Accounted bytes from the state arenas, the entry counts and the
+/// dense index's footprint.
+pub(crate) fn component_bytes(
+    states: &[Arc<StateData>],
+    projections: &[Arc<StateData>],
+    counts: TableCounts,
+    dense_index: usize,
+) -> ComponentBytes {
+    let arena = |a: &[Arc<StateData>]| -> usize {
+        a.iter().map(|s| s.byte_size() + STATE_ENTRY_OVERHEAD).sum()
+    };
     ComponentBytes {
-        states: view
-            .states
-            .iter()
-            .map(|s| s.byte_size() + STATE_ENTRY_OVERHEAD)
-            .sum(),
-        projections: view
-            .projections
-            .iter()
-            .map(|s| s.byte_size() + STATE_ENTRY_OVERHEAD)
-            .sum(),
-        transitions: view.transitions.len() * TRANS_ENTRY_BYTES,
-        projection_cache: view.projection_cache.len() * CACHE_ENTRY_BYTES,
-        signatures: view
-            .signatures
-            .iter()
-            .map(|sig| std::mem::size_of_val(sig) + SIG_ENTRY_OVERHEAD)
-            .sum(),
-        dense_index: dense_shape.bytes(),
+        states: arena(states),
+        projections: arena(projections),
+        transitions: counts.transitions * TRANS_ENTRY_BYTES,
+        projection_cache: counts.cached_projections * CACHE_ENTRY_BYTES,
+        signatures: counts.sig_cost_words * std::mem::size_of::<RuleCost>()
+            + counts.signatures * SIG_ENTRY_OVERHEAD,
+        dense_index,
     }
 }
 

@@ -84,10 +84,12 @@ pub use generate::generate_rust;
 pub use govern::{CompactionStats, ComponentBytes, MemoryBudget, PressureAction, PressureEvent};
 pub use label::{LabelError, Labeler, Labeling, RuleChooser, StateChooser, StateLookup};
 pub use offline::{DynCostMode, OfflineAutomaton, OfflineConfig, OfflineLabeler, OfflineStats};
-pub use ondemand::{BudgetPolicy, OnDemandAutomaton, OnDemandConfig, OnDemandStats};
+pub use ondemand::{
+    BudgetPolicy, OnDemandAutomaton, OnDemandConfig, OnDemandStats, RawProjection, RawTransition,
+};
 pub use persist::PersistError;
-pub use shared::{CoarseSharedOnDemand, InstallError, PinnedLabeling, SharedOnDemand};
-pub use snapshot::{AutomatonSnapshot, RawProjection, RawTransition, SnapshotStats, WarmWalk};
+pub use shared::{InstallError, PinnedLabeling, SharedOnDemand};
+pub use snapshot::{AutomatonSnapshot, SnapshotStats, WarmWalk};
 pub use state::{StateData, StateId, StateSet};
 pub use telemetry::{
     AtomicHistogram, AtomicJobCounts, Event, EventKind, EventScope, FlightRecorder, Histogram,

@@ -29,7 +29,7 @@ use crate::fxhash::FxHashMap;
 use crate::govern::{self, CompactionStats, ComponentBytes};
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
 use crate::signature::{SigId, SignatureInterner};
-use crate::snapshot::{AutomatonSnapshot, TransKey, NO_CHILD};
+use crate::snapshot::{AutomatonSnapshot, DynEvalTable, TransKey, NO_CHILD};
 use crate::state::{StateData, StateId, StateSet};
 
 /// What to do when the automaton outgrows its budget.
@@ -214,6 +214,38 @@ pub struct OnDemandAutomaton {
     /// coldest states by this measure. Reset by a flush, carried over
     /// (halved) by a compaction.
     heat: Vec<u64>,
+    /// The snapshots' flattened dynamic-cost dispatch: a function of
+    /// the grammar alone, built once and shared with every published
+    /// snapshot.
+    dyn_eval: Arc<DynEvalTable>,
+}
+
+/// One memoized transition in raw `(op, kids, sig)` form, for
+/// diagnostics and differential tests against the dense index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawTransition {
+    /// Operator id (`Op::id`).
+    pub op: u16,
+    /// Child keys (full state ids, or projection ids in projection
+    /// mode); unused slots are `u32::MAX`.
+    pub kids: [u32; 2],
+    /// Dynamic-cost signature id.
+    pub sig: u32,
+    /// The memoized target state.
+    pub state: StateId,
+}
+
+/// One memoized projection-cache entry in raw form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawProjection {
+    /// The full child state being projected.
+    pub full: StateId,
+    /// Operator id of the parent.
+    pub op: u16,
+    /// Child position under the parent.
+    pub pos: u8,
+    /// The projected state.
+    pub projection: StateId,
 }
 
 impl OnDemandAutomaton {
@@ -225,19 +257,49 @@ impl OnDemandAutomaton {
 
     /// Creates an empty automaton with an explicit configuration.
     pub fn with_config(grammar: Arc<NormalGrammar>, config: OnDemandConfig) -> Self {
+        let dyn_eval = Arc::new(DynEvalTable::build(&grammar));
+        Self::from_tables(
+            grammar,
+            config,
+            0,
+            Vec::new(),
+            Vec::new(),
+            FxHashMap::default(),
+            FxHashMap::default(),
+            SignatureInterner::new(),
+            dyn_eval,
+        )
+    }
+
+    /// Assembles a master from tables whose ids already agree with each
+    /// other (a parsed table file, or a snapshot's enumerated index),
+    /// starting at `epoch` with fresh counters and no heat.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_tables(
+        grammar: Arc<NormalGrammar>,
+        config: OnDemandConfig,
+        epoch: u64,
+        states: Vec<Arc<StateData>>,
+        projections: Vec<Arc<StateData>>,
+        transitions: FxHashMap<TransKey, StateId>,
+        projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
+        signatures: SignatureInterner,
+        dyn_eval: Arc<DynEvalTable>,
+    ) -> Self {
         OnDemandAutomaton {
             grammar,
             config,
-            states: StateSet::new(),
-            projections: StateSet::new(),
-            transitions: FxHashMap::default(),
-            projection_cache: FxHashMap::default(),
-            signatures: SignatureInterner::new(),
+            heat: vec![0; states.len()],
+            states: StateSet::from_arena(states),
+            projections: StateSet::from_arena(projections),
+            transitions,
+            projection_cache,
+            signatures,
             counters: WorkCounters::new(),
-            epoch: 0,
+            epoch,
             flushes: 0,
             compactions: 0,
-            heat: Vec::new(),
+            dyn_eval,
         }
     }
 
@@ -274,49 +336,58 @@ impl OnDemandAutomaton {
     /// Freezes the automaton's current tables into an immutable
     /// [`AutomatonSnapshot`].
     ///
-    /// The snapshot shares the state data by reference count; the
-    /// transition table, projection cache and signature interner are
-    /// copied. Publication cost is therefore proportional to table
-    /// *size*, paid only when the automaton grew — never on the warm
-    /// path.
+    /// The snapshot shares the state data by reference count and builds
+    /// its dense index from the transition table, projection cache and
+    /// signature interner; no hash map is copied. Publication cost is
+    /// therefore proportional to table *size*, paid only when the
+    /// automaton grew — never on the warm path.
     pub fn snapshot(&self) -> AutomatonSnapshot {
         AutomatonSnapshot::new(
             self.epoch(),
             Arc::clone(&self.grammar),
             self.config,
-            self.states.share_arena(),
-            self.projections.share_arena(),
-            self.transitions.clone(),
-            self.projection_cache.clone(),
-            self.signatures.clone(),
+            &self.table_view(),
+            Arc::clone(&self.dyn_eval),
         )
     }
 
-    /// Reconstructs a mutable master automaton from a snapshot's frozen
-    /// tables — the warm-start path. The returned automaton labels
+    /// Reconstructs a mutable master automaton from a snapshot — the
+    /// warm-start and replica-install path. The hash tables are rebuilt
+    /// from the snapshot's dense index, with signatures re-interned in
+    /// id order so every id is preserved. The returned automaton labels
     /// everything the snapshot has seen without a single memo miss and
     /// grows from there; its epoch continues from the snapshot's.
     ///
     /// Combined with the [`persist`](crate::persist) module this lets a
-    /// restarted process resume at yesterday's hit rates:
-    /// export a snapshot before shutdown, import it at startup, and feed
-    /// it here (or to
-    /// [`SharedOnDemand::with_seed_snapshot`](crate::SharedOnDemand::with_seed_snapshot)).
+    /// restarted process resume at yesterday's hit rates; a table file
+    /// can also be imported straight into a master with
+    /// [`persist::import_automaton`](crate::persist::import_automaton),
+    /// which skips this rebuild.
     pub fn from_snapshot(snapshot: &AutomatonSnapshot) -> Self {
-        OnDemandAutomaton {
-            grammar: Arc::clone(snapshot.grammar()),
-            config: snapshot.config(),
-            states: StateSet::from_arena(snapshot.states_arena().to_vec()),
-            projections: StateSet::from_arena(snapshot.projections_arena().to_vec()),
-            transitions: snapshot.transitions().clone(),
-            projection_cache: snapshot.projection_cache().clone(),
-            signatures: snapshot.signatures().clone(),
-            counters: WorkCounters::new(),
-            epoch: snapshot.epoch(),
-            flushes: 0,
-            compactions: 0,
-            heat: vec![0; snapshot.states_arena().len()],
+        let dense = snapshot.dense();
+        let counts = dense.counts();
+        let mut transitions =
+            FxHashMap::with_capacity_and_hasher(counts.transitions, Default::default());
+        transitions.extend(dense.transitions());
+        let mut projection_cache =
+            FxHashMap::with_capacity_and_hasher(counts.cached_projections, Default::default());
+        projection_cache.extend(dense.projections());
+        let mut signatures = SignatureInterner::new();
+        for (id, costs) in dense.signatures().enumerate().skip(1) {
+            let interned = signatures.intern(&costs);
+            debug_assert_eq!(interned, SigId(id as u32), "signature ids are preserved");
         }
+        Self::from_tables(
+            Arc::clone(snapshot.grammar()),
+            snapshot.config(),
+            snapshot.epoch(),
+            snapshot.states_arena().to_vec(),
+            snapshot.projections_arena().to_vec(),
+            transitions,
+            projection_cache,
+            signatures,
+            Arc::clone(snapshot.dyn_eval()),
+        )
     }
 
     /// The configuration.
@@ -397,10 +468,53 @@ impl OnDemandAutomaton {
     }
 
     /// Looks up an already-interned dynamic-cost signature without
-    /// interning. Used by the lock-free fast path of
-    /// [`SharedOnDemand`](crate::SharedOnDemand).
+    /// interning.
     pub fn find_signature(&self, costs: &[RuleCost]) -> Option<SigId> {
         self.signatures.find(costs)
+    }
+
+    /// Every memoized transition in raw form (unspecified order), for
+    /// diagnostics and the dense-index differential tests.
+    pub fn raw_transitions(&self) -> Vec<RawTransition> {
+        self.transitions
+            .iter()
+            .map(|(k, &v)| RawTransition {
+                op: k.op,
+                kids: k.kids,
+                sig: k.sig.0,
+                state: v,
+            })
+            .collect()
+    }
+
+    /// Every projection-cache entry in raw form (unspecified order).
+    pub fn raw_projections(&self) -> Vec<RawProjection> {
+        self.projection_cache
+            .iter()
+            .map(|(&(full, op, pos), &proj)| RawProjection {
+                full,
+                op,
+                pos,
+                projection: proj,
+            })
+            .collect()
+    }
+
+    /// Raw transition probe (no projection resolution — `kids` are the
+    /// key's own child ids, unused slots `u32::MAX`).
+    pub fn lookup_raw(&self, op: u16, kids: [u32; 2], sig: u32) -> Option<StateId> {
+        self.transitions
+            .get(&TransKey {
+                op,
+                kids,
+                sig: SigId(sig),
+            })
+            .copied()
+    }
+
+    /// Raw projection-cache probe.
+    pub fn project_raw(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
+        self.projection_cache.get(&(full, op, pos)).copied()
     }
 
     /// Non-mutating transition lookup: `Some(state)` if the transition for

@@ -11,9 +11,9 @@
 //! traffic, the bridge between "on-demand" and "offline" is to persist
 //! the learned tables: export a snapshot before shutdown, import it at
 //! startup, and label at warm hit rates from the first request. The
-//! warm-started master ([`OnDemandAutomaton::from_snapshot`](crate::OnDemandAutomaton::from_snapshot),
-//! [`SharedOnDemand::with_seed_snapshot`](crate::SharedOnDemand::with_seed_snapshot))
-//! keeps growing from wherever the tables left off.
+//! warm-started master ([`import_automaton`], handed to
+//! [`SharedOnDemand::new`](crate::SharedOnDemand::new) for concurrent
+//! use) keeps growing from wherever the tables left off.
 //!
 //! # Format
 //!
@@ -41,7 +41,9 @@
 //! ```
 //!
 //! Table entries are written in sorted order, so exporting the same
-//! snapshot twice produces identical bytes.
+//! snapshot twice produces identical bytes. Export enumerates the
+//! snapshot's dense index — its only copy of the tables — and the sort
+//! makes the bytes independent of the slot layout.
 //!
 //! # Integrity
 //!
@@ -70,10 +72,10 @@
 //! through the snapshot itself).
 //!
 //! The dense warm-path index (see `dense.rs`) is **not** part of this
-//! format and never will be: it is a pure function of the canonical
-//! tables, rebuilt by [`AutomatonSnapshot`]'s constructor at import
-//! exactly as at publication — which is why [`FORMAT_VERSION`] stays at
-//! 2 even though snapshots now carry the index. Its accounted bytes
+//! format and never will be: it is a pure function of the tables, built
+//! from the parsed hash tables at import exactly as a publication builds
+//! it from the master's — which is why [`FORMAT_VERSION`] stays at 2
+//! even though snapshots keep only the index. Its accounted bytes
 //! ([`ComponentBytes::dense_index`]) *are* reported by
 //! [`inspect_tables`], computed from the entry counts, so `tables
 //! stats` shows the footprint an import will actually have.
@@ -85,10 +87,10 @@ use std::sync::Arc;
 use odburg_grammar::{Cost, NormalGrammar, RuleCost};
 
 use crate::fxhash::FxHashMap;
-use crate::govern::{self, ComponentBytes};
-use crate::ondemand::{BudgetPolicy, OnDemandConfig};
+use crate::govern::{self, ComponentBytes, TableView};
+use crate::ondemand::{BudgetPolicy, OnDemandAutomaton, OnDemandConfig};
 use crate::signature::{SigId, SignatureInterner};
-use crate::snapshot::{AutomatonSnapshot, TransKey, MAX_ARITY, NO_CHILD};
+use crate::snapshot::{AutomatonSnapshot, DynEvalTable, TransKey, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId};
 
 /// The current table-file format version. Version 2 added the
@@ -256,9 +258,10 @@ pub fn export_snapshot<W: Write>(
     e.u64(snapshot.epoch());
     e.u32(snapshot.grammar().num_nts() as u32);
 
-    let sigs = snapshot.signatures();
-    e.u32(sigs.len() as u32);
-    for sig in sigs.iter() {
+    let dense = snapshot.dense();
+    let signatures: Vec<Vec<RuleCost>> = dense.signatures().collect();
+    e.u32(signatures.len() as u32);
+    for sig in &signatures {
         e.u32(sig.len() as u32);
         for &c in sig {
             e.rule_cost(c);
@@ -272,7 +275,7 @@ pub fn export_snapshot<W: Write>(
         }
     }
 
-    let mut transitions: Vec<(&TransKey, &StateId)> = snapshot.transitions().iter().collect();
+    let mut transitions: Vec<(TransKey, StateId)> = dense.transitions().collect();
     transitions.sort_unstable_by_key(|(k, _)| (k.op, k.kids, k.sig));
     e.u32(transitions.len() as u32);
     for (key, state) in transitions {
@@ -284,11 +287,10 @@ pub fn export_snapshot<W: Write>(
         e.u32(state.0);
     }
 
-    let mut cache: Vec<(&(StateId, u16, u8), &StateId)> =
-        snapshot.projection_cache().iter().collect();
-    cache.sort_unstable_by_key(|(k, _)| **k);
+    let mut cache: Vec<((StateId, u16, u8), StateId)> = dense.projections().collect();
+    cache.sort_unstable_by_key(|(k, _)| *k);
     e.u32(cache.len() as u32);
-    for (&(state, op, pos), projected) in cache {
+    for ((state, op, pos), projected) in cache {
         e.u32(state.0);
         e.u16(op);
         e.u8(pos);
@@ -357,7 +359,7 @@ impl<'a> Dec<'a> {
         }
     }
     /// Decodes one state. Rule ids are range-checked later, against the
-    /// grammar, by [`import_snapshot`]; [`inspect_snapshot`] has no
+    /// grammar, by [`read_validated`]; [`inspect_snapshot`] has no
     /// grammar to check them against.
     fn state(&mut self) -> Result<StateData, PersistError> {
         let slots = self.count("state slot", 8)?;
@@ -382,7 +384,7 @@ impl<'a> Dec<'a> {
 /// The decoded, structurally validated contents of a table file —
 /// everything checkable without the grammar. Grammar-dependent checks
 /// (fingerprint, rule-id ranges, nonterminal count) happen in
-/// [`import_snapshot`]; [`inspect_tables`] stops here.
+/// [`read_validated`]; [`inspect_tables`] stops here.
 struct RawTables {
     fingerprint: u64,
     config: OnDemandConfig,
@@ -393,6 +395,19 @@ struct RawTables {
     projections: Vec<Arc<StateData>>,
     transitions: FxHashMap<TransKey, StateId>,
     projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
+}
+
+impl RawTables {
+    fn view(&self) -> TableView<'_> {
+        TableView {
+            states: &self.states,
+            projections: &self.projections,
+            transitions: &self.transitions,
+            projection_cache: &self.projection_cache,
+            signatures: &self.signatures,
+            project_children: self.config.project_children,
+        }
+    }
 }
 
 /// Reads and verifies the file header, returning the checksummed
@@ -613,18 +628,13 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     })
 }
 
-/// Deserializes tables exported by [`export_snapshot`], validating them
-/// against the grammar and configuration the importing automaton will
-/// run with.
-///
-/// # Errors
-///
-/// See the integrity discussion in the [module docs](self).
-pub fn import_snapshot<R: Read>(
+/// Reads a table file and validates it against the grammar and
+/// configuration the importing automaton will run with.
+fn read_validated<R: Read>(
     reader: R,
-    grammar: Arc<NormalGrammar>,
+    grammar: &NormalGrammar,
     expected: OnDemandConfig,
-) -> Result<AutomatonSnapshot, PersistError> {
+) -> Result<RawTables, PersistError> {
     let payload = read_payload(reader)?;
     let raw = parse_payload(&payload)?;
 
@@ -660,15 +670,61 @@ pub fn import_snapshot<R: Read>(
         }
     }
 
-    Ok(AutomatonSnapshot::new(
-        raw.epoch,
+    Ok(raw)
+}
+
+/// Deserializes tables exported by [`export_snapshot`] straight into a
+/// mutable master automaton, validating them against the grammar and
+/// configuration it will run with. The parsed hash tables become the
+/// master's own, so a warm start parses the file once and builds one
+/// dense index — at its first
+/// [`snapshot`](OnDemandAutomaton::snapshot), e.g. in
+/// [`SharedOnDemand::new`](crate::SharedOnDemand::new).
+///
+/// # Errors
+///
+/// See the integrity discussion in the [module docs](self).
+pub fn import_automaton<R: Read>(
+    reader: R,
+    grammar: Arc<NormalGrammar>,
+    expected: OnDemandConfig,
+) -> Result<OnDemandAutomaton, PersistError> {
+    let raw = read_validated(reader, &grammar, expected)?;
+    let dyn_eval = Arc::new(DynEvalTable::build(&grammar));
+    Ok(OnDemandAutomaton::from_tables(
         grammar,
         raw.config,
+        raw.epoch,
         raw.states,
         raw.projections,
         raw.transitions,
         raw.projection_cache,
         raw.signatures,
+        dyn_eval,
+    ))
+}
+
+/// Deserializes tables exported by [`export_snapshot`] into a snapshot,
+/// validating them exactly as [`import_automaton`] does. The parsed
+/// hash tables are read once to build the snapshot's dense index and
+/// then dropped.
+///
+/// # Errors
+///
+/// See the integrity discussion in the [module docs](self).
+pub fn import_snapshot<R: Read>(
+    reader: R,
+    grammar: Arc<NormalGrammar>,
+    expected: OnDemandConfig,
+) -> Result<AutomatonSnapshot, PersistError> {
+    let raw = read_validated(reader, &grammar, expected)?;
+    let dyn_eval = Arc::new(DynEvalTable::build(&grammar));
+    Ok(AutomatonSnapshot::new(
+        raw.epoch,
+        grammar,
+        raw.config,
+        &raw.view(),
+        dyn_eval,
     ))
 }
 
@@ -716,14 +772,7 @@ pub struct TableFileInfo {
 pub fn inspect_snapshot<R: Read>(reader: R) -> Result<TableFileInfo, PersistError> {
     let payload = read_payload(reader)?;
     let raw = parse_payload(&payload)?;
-    let bytes = govern::account_tables(&govern::TableView {
-        states: &raw.states,
-        projections: &raw.projections,
-        transitions: &raw.transitions,
-        projection_cache: &raw.projection_cache,
-        signatures: &raw.signatures,
-        project_children: raw.config.project_children,
-    });
+    let bytes = govern::account_tables(&raw.view());
     Ok(TableFileInfo {
         fingerprint: raw.fingerprint,
         config: raw.config,

@@ -1,31 +1,27 @@
-//! Thread-safe shared on-demand automata for concurrent JIT compilation.
+//! The thread-safe shared on-demand automaton for concurrent JIT
+//! compilation: [`SharedOnDemand`], the **snapshot-based concurrent
+//! core**.
 //!
-//! Two implementations live here:
+//! The automaton's tables are published as an immutable
+//! [`AutomatonSnapshot`] behind an atomically swappable pointer
+//! ([`arc_swap::ArcSwap`]); reader threads label entire forests against
+//! the current snapshot's dense index with **zero locks and zero
+//! shared-memory writes** (one atomic pointer load per forest, one
+//! atomic counter merge at the end). Only a forest that contains a
+//! transition the snapshot has not seen enters the single-writer grow
+//! path: the mutable master automaton behind a mutex, which computes the
+//! missing states and publishes a fresh snapshot. The warmer the
+//! automaton, the closer every thread is to private table lookups —
+//! which is the paper's convergence argument carried over to the memory
+//! system.
 //!
-//! * [`SharedOnDemand`] — the **snapshot-based concurrent core**. The
-//!   automaton's tables are published as an immutable
-//!   [`AutomatonSnapshot`] behind an atomically swappable pointer
-//!   ([`arc_swap::ArcSwap`]); reader threads label entire forests against
-//!   the current snapshot with **zero locks and zero shared-memory
-//!   writes** (one atomic pointer load per forest, one atomic counter
-//!   merge at the end). Only a forest that contains a transition the
-//!   snapshot has not seen enters the single-writer grow path: the
-//!   mutable master automaton behind a mutex, which computes the missing
-//!   states and publishes a fresh snapshot. The warmer the automaton, the
-//!   closer every thread is to private table lookups — which is the
-//!   paper's convergence argument carried over to the memory system.
-//! * [`CoarseSharedOnDemand`] — the previous design: one `RwLock` around
-//!   the whole automaton, readers under the read lock, upgrade to the
-//!   write lock on a miss. Kept as the comparison baseline for the
-//!   `thread_scaling` benchmark and as the simplest correct reference.
-//!
-//! Why the snapshot core scales: under the coarse lock, every
-//! `label_forest` call bounces the `RwLock`'s reader count between cores
-//! even when the automaton is fully warmed, and one cold forest blocks
-//! all readers for its entire labeling. Under snapshots, warm readers
-//! touch no shared cache line at all (the pointer load plus one hazard
-//! slot) and a cold forest blocks nobody — readers keep answering from
-//! the still-current snapshot while the writer grows the master.
+//! Why this scales where one lock around the whole automaton does not:
+//! a reader-writer lock bounces its reader count between cores on every
+//! forest even when the automaton is fully warmed, and one cold forest
+//! blocks all readers for its entire labeling. Under snapshots, warm
+//! readers touch no shared cache line at all (the pointer load plus one
+//! hazard slot) and a cold forest blocks nobody — readers keep answering
+//! from the still-current snapshot while the writer grows the master.
 //!
 //! Replaced snapshots are reclaimed on publication unless something can
 //! still reference them: a reader mid-forest (hazard-protected) or a
@@ -36,10 +32,10 @@
 use std::sync::Arc;
 
 use arc_swap::ArcSwap;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use odburg_grammar::{NormalRuleId, NtId, RuleCost};
-use odburg_ir::{Forest, NodeId, Op};
+use odburg_grammar::{NormalRuleId, NtId};
+use odburg_ir::{Forest, NodeId};
 
 use crate::counters::{AtomicWorkCounters, WorkCounters};
 use crate::govern::{
@@ -47,8 +43,7 @@ use crate::govern::{
 };
 use crate::label::{LabelError, Labeler, Labeling, StateChooser, StateLookup};
 use crate::ondemand::{BudgetPolicy, OnDemandAutomaton, OnDemandConfig};
-use crate::signature::SigId;
-use crate::snapshot::{AutomatonSnapshot, MAX_ARITY};
+use crate::snapshot::AutomatonSnapshot;
 use crate::state::StateId;
 
 /// Why [`SharedOnDemand::install_snapshot`] refused a shipped snapshot.
@@ -155,8 +150,7 @@ pub struct SharedOnDemand {
     current: ArcSwap<AutomatonSnapshot>,
     /// The mutable master automaton — the single-writer grow path.
     writer: Mutex<OnDemandAutomaton>,
-    /// Lock-free work counters (the coarse design kept these in a
-    /// `Mutex`).
+    /// Lock-free work counters.
     counters: AtomicWorkCounters,
     /// Optional telemetry emitter (see [`crate::telemetry`]): when
     /// attached, epoch publications and governor actions leave
@@ -212,11 +206,15 @@ impl SharedOnDemand {
         }
     }
 
-    /// Warm-starts a shared automaton from a previously built (e.g.
-    /// [imported](crate::persist)) snapshot: the snapshot is published
-    /// as-is for lock-free readers and the master automaton is
-    /// reconstructed from its tables, so workloads the snapshot has
-    /// already seen never enter the grow path.
+    /// Warm-starts a shared automaton from a previously built snapshot:
+    /// the snapshot is published as-is for lock-free readers and the
+    /// master automaton is rebuilt from its dense index
+    /// ([`OnDemandAutomaton::from_snapshot`]), so workloads the snapshot
+    /// has already seen never enter the grow path. To warm-start from a
+    /// table file, import a master with
+    /// [`persist::import_automaton`](crate::persist::import_automaton)
+    /// and pass it to [`SharedOnDemand::new`] instead — that parses the
+    /// file once and builds one index.
     pub fn with_seed_snapshot(snapshot: Arc<AutomatonSnapshot>) -> Self {
         let master = OnDemandAutomaton::from_snapshot(&snapshot);
         SharedOnDemand {
@@ -614,64 +612,6 @@ fn label_rest(
     Ok(())
 }
 
-/// Read-only view of an automaton's transition tables; the coarse-lock
-/// baseline's fast-path lookup [`peek`] is written against this. (The
-/// snapshot core used to share it; it now walks the dense index via
-/// [`AutomatonSnapshot::label_warm`], whose hash-path twin
-/// `label_warm_hash` keeps the same key construction alive as the
-/// benchmark baseline.)
-trait TransitionView {
-    fn view_grammar(&self) -> &odburg_grammar::NormalGrammar;
-    fn view_signature(&self, costs: &[RuleCost]) -> Option<SigId>;
-    fn view_lookup(&self, op: Op, kids: &[StateId], sig: SigId) -> Option<StateId>;
-}
-
-impl TransitionView for OnDemandAutomaton {
-    fn view_grammar(&self) -> &odburg_grammar::NormalGrammar {
-        self.grammar()
-    }
-    fn view_signature(&self, costs: &[RuleCost]) -> Option<SigId> {
-        self.find_signature(costs)
-    }
-    fn view_lookup(&self, op: Op, kids: &[StateId], sig: SigId) -> Option<StateId> {
-        self.peek_transition(op, kids, sig)
-    }
-}
-
-/// Non-mutating transition lookup; `None` means "miss, take the slow
-/// path". Mirrors the key construction of
-/// [`OnDemandAutomaton::label_node`].
-fn peek<V: TransitionView>(
-    view: &V,
-    forest: &Forest,
-    node: NodeId,
-    op: Op,
-    kids: &[StateId; MAX_ARITY],
-    local: &mut WorkCounters,
-) -> Option<StateId> {
-    let grammar = view.view_grammar();
-    let sig = if grammar.has_dynamic_rules() {
-        let base = grammar.dynamic_base_rules(op);
-        let chains = grammar.dynamic_chain_rules();
-        if base.is_empty() && chains.is_empty() {
-            SigId::EMPTY
-        } else {
-            let costs: Vec<RuleCost> = base
-                .iter()
-                .chain(chains)
-                .map(|&r| {
-                    local.dyncost_evals += 1;
-                    grammar.rule_cost_at(r, forest, node)
-                })
-                .collect();
-            view.view_signature(&costs)?
-        }
-    } else {
-        SigId::EMPTY
-    };
-    view.view_lookup(op, &kids[..op.arity()], sig)
-}
-
 impl StateLookup for SharedOnDemand {
     /// Resolves against the currently published snapshot. Within an
     /// epoch this is always correct (ids are append-only). Across a
@@ -702,100 +642,6 @@ impl Labeler for SharedOnDemand {
 
     fn name(&self) -> &'static str {
         "shared"
-    }
-}
-
-/// The coarse-lock shared automaton: one `RwLock` around the whole
-/// automaton (read lock on the warm path, write lock from the first miss
-/// onward).
-///
-/// Superseded by the snapshot-based [`SharedOnDemand`]; kept as the
-/// baseline the `thread_scaling` benchmark compares against.
-#[derive(Debug)]
-pub struct CoarseSharedOnDemand {
-    inner: RwLock<OnDemandAutomaton>,
-    counters: Mutex<WorkCounters>,
-}
-
-impl CoarseSharedOnDemand {
-    /// Wraps an automaton for shared use.
-    pub fn new(automaton: OnDemandAutomaton) -> Self {
-        CoarseSharedOnDemand {
-            inner: RwLock::new(automaton),
-            counters: Mutex::new(WorkCounters::new()),
-        }
-    }
-
-    /// Labels a forest, taking the write lock only if the automaton is
-    /// missing a transition.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`OnDemandAutomaton::label_node`].
-    pub fn label_forest(&self, forest: &Forest) -> Result<Labeling, LabelError> {
-        let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
-        let mut local = WorkCounters::new();
-
-        // Fast path: read lock, non-mutating lookups through the same
-        // `peek` the snapshot core uses. The whole-automaton lock is
-        // exactly what the snapshot design eliminates.
-        {
-            let auto = self.inner.read();
-            for (id, node) in forest.iter() {
-                let mut kids = [StateId(0); MAX_ARITY];
-                for (i, &c) in node.children().iter().enumerate() {
-                    kids[i] = states[c.index()];
-                }
-                local.nodes += 1;
-                local.hash_lookups += 1;
-                match peek(&*auto, forest, id, node.op(), &kids, &mut local) {
-                    Some(sid) => {
-                        if auto.state(sid).is_dead() {
-                            self.counters.lock().merge(&local);
-                            return Err(LabelError::NoCover {
-                                node: id,
-                                op: node.op(),
-                            });
-                        }
-                        local.memo_hits += 1;
-                        states.push(sid);
-                    }
-                    None => break,
-                }
-            }
-        }
-
-        // Slow path: write lock from the first miss onward.
-        if states.len() < forest.len() {
-            let mut auto = self.inner.write();
-            label_rest(&mut auto, forest, &mut states)?;
-        }
-
-        self.counters.lock().merge(&local);
-        Ok(Labeling::from_states(states))
-    }
-
-    /// Work accumulated by the fast path plus the inner automaton.
-    pub fn counters(&self) -> WorkCounters {
-        let mut c = *self.counters.lock();
-        c.merge(&self.inner.read().counters());
-        c
-    }
-
-    /// Size statistics of the wrapped automaton.
-    pub fn stats(&self) -> crate::OnDemandStats {
-        self.inner.read().stats()
-    }
-
-    /// Consumes the wrapper and returns the automaton.
-    pub fn into_inner(self) -> OnDemandAutomaton {
-        self.inner.into_inner()
-    }
-}
-
-impl StateLookup for CoarseSharedOnDemand {
-    fn rule_in_state(&self, state: StateId, nt: NtId) -> Option<NormalRuleId> {
-        self.inner.read().rule_in_state(state, nt)
     }
 }
 
@@ -1182,21 +1028,6 @@ mod tests {
         assert!(Labeler::counters(&shared).nodes >= f.len() as u64);
         shared.reset_counters();
         assert_eq!(Labeler::counters(&shared).nodes, 0);
-    }
-
-    #[test]
-    fn coarse_baseline_agrees_with_snapshot_core() {
-        let coarse = CoarseSharedOnDemand::new(demo_automaton());
-        let snappy = shared_demo();
-        for src in [
-            "(StoreI8 (ConstI8 0) (AddI8 (ConstI8 1) (ConstI8 2)))",
-            "(StoreI8 (ConstI8 0) (LoadI8 (ConstI8 8)))",
-        ] {
-            let f = forest(src);
-            let a = coarse.label_forest(&f).unwrap();
-            let b = snappy.label_forest(&f).unwrap();
-            assert_eq!(a, b, "coarse vs snapshot on {src}");
-        }
     }
 
     #[test]

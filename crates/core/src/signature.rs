@@ -24,11 +24,9 @@ impl SigId {
     pub const EMPTY: SigId = SigId(0);
 }
 
-/// Interner for dynamic-cost vectors.
-///
-/// `Clone` is cheap relative to publication frequency and is used to
-/// freeze the interner into an
-/// [`AutomatonSnapshot`](crate::AutomatonSnapshot).
+/// Interner for dynamic-cost vectors. Ids are dense and assigned in
+/// interning order, so re-interning the vectors of [`iter`](Self::iter)
+/// into a fresh interner reproduces every id.
 #[derive(Debug, Clone)]
 pub struct SignatureInterner {
     sigs: Vec<Box<[RuleCost]>>,

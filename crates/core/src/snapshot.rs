@@ -3,11 +3,13 @@
 //! The concurrent labeling core ([`SharedOnDemand`](crate::SharedOnDemand))
 //! separates the automaton into two halves:
 //!
-//! * an **immutable snapshot** (this module): state arena, transition
-//!   table, projection cache and signature interner, frozen at a point in
-//!   time and published behind an atomically swappable pointer. Reader
-//!   threads label whole forests against a snapshot with *zero* locks and
-//!   zero shared-memory writes — every operation is a read of immutable
+//! * an **immutable snapshot** (this module): the state arenas plus one
+//!   [dense index](crate::dense) built from the master's transition
+//!   table, projection cache and signature interner, frozen at a point
+//!   in time and published behind an atomically swappable pointer. The
+//!   index is the snapshot's only copy of those tables. Reader threads
+//!   label whole forests against a snapshot with *zero* locks and zero
+//!   shared-memory writes — every operation is a read of immutable
 //!   data;
 //! * a **single-writer grow path**: the mutable master automaton behind a
 //!   mutex, entered only when a forest contains a transition the current
@@ -30,11 +32,10 @@ use odburg_ir::{Forest, NodeId, Op, OpId, NUM_OPS};
 
 use crate::counters::WorkCounters;
 use crate::dense::{self, DenseIndex};
-use crate::fxhash::FxHashMap;
-use crate::govern::{self, ComponentBytes};
+use crate::govern::{self, ComponentBytes, TableView};
 use crate::label::StateLookup;
 use crate::ondemand::OnDemandConfig;
-use crate::signature::{SigId, SignatureInterner};
+use crate::signature::SigId;
 use crate::state::{StateData, StateId};
 
 pub(crate) const NO_CHILD: u32 = u32::MAX;
@@ -84,8 +85,8 @@ pub struct SnapshotStats {
     pub bytes: ComponentBytes,
 }
 
-/// An immutable copy of an on-demand automaton's tables, safe to read
-/// from any number of threads without synchronization.
+/// An immutable, dense-indexed copy of an on-demand automaton's tables,
+/// safe to read from any number of threads without synchronization.
 ///
 /// Snapshots are created by
 /// [`OnDemandAutomaton::snapshot`](crate::OnDemandAutomaton::snapshot)
@@ -103,35 +104,36 @@ pub struct AutomatonSnapshot {
     /// consistently — so it is part of the snapshot and of the persisted
     /// format.
     projections: Vec<Arc<StateData>>,
-    transitions: FxHashMap<TransKey, StateId>,
-    projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
-    signatures: SignatureInterner,
     /// The dense warm-path index (see [`crate::dense`]): flat
-    /// per-operator transition slots, a flat projection table, and
-    /// structure-of-arrays state facts, derived from the canonical
-    /// tables above at construction. Never serialized — rebuilt at
-    /// every publication and at [`persist`](crate::persist) import.
+    /// per-operator transition slots, a flat projection table, the
+    /// signature table and structure-of-arrays state facts, built from
+    /// the master's hash tables at construction. It is the snapshot's
+    /// only copy of the transitions, projections and signatures. Never
+    /// serialized — rebuilt at every publication and at
+    /// [`persist`](crate::persist) import.
     dense: DenseIndex,
     /// Per-state touch counters for this epoch, bumped (relaxed) by the
     /// lock-free fast path once per forest and folded into the writer's
     /// heat at compaction time. Not part of the persisted format and
     /// not compared by [`SnapshotStats`].
     heat: Box<[AtomicU32]>,
-    /// Flattened dynamic-cost dispatch (see [`DynEvalTable`]).
-    dyn_eval: DynEvalTable,
+    /// Flattened dynamic-cost dispatch (see [`DynEvalTable`]), shared
+    /// with the master that published this snapshot.
+    dyn_eval: Arc<DynEvalTable>,
 }
 
 /// Flattened warm-path dispatch for dynamic-cost evaluation: the
 /// resolved cost function of every dynamic base rule, grouped by
-/// operator id, plus the dynamic chain rules' functions. Derived from
-/// the grammar at snapshot construction (a cold path) so a warm eval is
-/// one sequential slice read and the indirect call itself — the per-eval
-/// walk through the fat [`NormalRule`] and
+/// operator id, plus the dynamic chain rules' functions. It depends only
+/// on the grammar, so it is built once per automaton and shared through
+/// an `Arc` with every snapshot the automaton publishes; a warm eval is
+/// one sequential slice read and the indirect call itself — the walk
+/// through the fat [`NormalRule`] and
 /// [`DynCost`](odburg_grammar::DynCost) tables (two dependent cache
-/// lines each) happens once per publication instead of once per node.
+/// lines each) happens once per automaton instead of once per node.
 /// Constant grammar-derived metadata, outside the byte accounting like
 /// the grammar `Arc` itself.
-struct DynEvalTable {
+pub(crate) struct DynEvalTable {
     /// `base[op]` — cost functions of the op's dynamic base rules, in
     /// the same order `dynamic_base_rules` reports them.
     base: Box<[Box<[DynCostFn]>]>,
@@ -149,7 +151,7 @@ impl std::fmt::Debug for DynEvalTable {
 }
 
 impl DynEvalTable {
-    fn build(grammar: &NormalGrammar) -> Self {
+    pub(crate) fn build(grammar: &NormalGrammar) -> Self {
         let resolve = |&r: &NormalRuleId| -> DynCostFn {
             match grammar.rule(r).cost {
                 CostExpr::Dynamic(id) => grammar.dyncosts()[id.0 as usize].func.clone(),
@@ -167,6 +169,38 @@ impl DynEvalTable {
                 .collect(),
             chains: grammar.dynamic_chain_rules().iter().map(resolve).collect(),
         }
+    }
+
+    /// Evaluates the dynamic-cost rules applicable at `node` into
+    /// `scratch`, returning `false` when there are none — the node's
+    /// signature is statically [`SigId::EMPTY`]. The warm walk then
+    /// resolves the filled scratch through the dense signature probe.
+    /// `scratch` is a caller-owned buffer reused across nodes so the
+    /// warm loop never allocates per node; per eval the cost is one
+    /// sequential function-pointer read and the cost function itself.
+    #[inline]
+    fn eval(
+        &self,
+        forest: &Forest,
+        node: NodeId,
+        op: Op,
+        counters: &mut WorkCounters,
+        scratch: &mut Vec<RuleCost>,
+    ) -> bool {
+        let base = &*self.base[op.id().0 as usize];
+        let chains = &*self.chains;
+        if base.is_empty() && chains.is_empty() {
+            return false;
+        }
+        scratch.clear();
+        for f in base {
+            scratch.push(f(forest, node));
+        }
+        for f in chains {
+            scratch.push(f(forest, node));
+        }
+        counters.dyncost_evals += (base.len() + chains.len()) as u64;
+        true
     }
 }
 
@@ -186,73 +220,43 @@ pub struct WarmWalk {
     pub nocover: Option<NodeId>,
 }
 
-/// One memoized transition in raw `(op, kids, sig)` form, for
-/// diagnostics and differential tests against the dense index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawTransition {
-    /// Operator id (`Op::id`).
-    pub op: u16,
-    /// Child keys (full state ids, or projection ids in projection
-    /// mode); unused slots are `u32::MAX`.
-    pub kids: [u32; 2],
-    /// Dynamic-cost signature id.
-    pub sig: u32,
-    /// The memoized target state.
-    pub state: StateId,
-}
-
-/// One memoized projection-cache entry in raw form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawProjection {
-    /// The full child state being projected.
-    pub full: StateId,
-    /// Operator id of the parent.
-    pub op: u16,
-    /// Child position under the parent.
-    pub pos: u8,
-    /// The projected state.
-    pub projection: StateId,
-}
-
 impl AutomatonSnapshot {
-    #[allow(clippy::too_many_arguments)]
+    /// Freezes `tables` (borrowed from a master or a freshly parsed
+    /// table file) into a snapshot: the arenas are shared by reference
+    /// count and the hash tables are read once to build the dense index
+    /// — no hash map is copied.
     pub(crate) fn new(
         epoch: u64,
         grammar: Arc<NormalGrammar>,
         config: OnDemandConfig,
-        states: Vec<Arc<StateData>>,
-        projections: Vec<Arc<StateData>>,
-        transitions: FxHashMap<TransKey, StateId>,
-        projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
-        signatures: SignatureInterner,
+        tables: &TableView<'_>,
+        dyn_eval: Arc<DynEvalTable>,
     ) -> Self {
-        let heat = (0..states.len()).map(|_| AtomicU32::new(0)).collect();
+        let heat = (0..tables.states.len())
+            .map(|_| AtomicU32::new(0))
+            .collect();
         // The dense warm-path index is derived here — publication and
         // import are the cold paths that pay the build. An operator's
         // signature is statically empty exactly when the grammar has no
         // dynamic chain rules and no dynamic base rules for the op.
         let chains_empty = grammar.dynamic_chain_rules().is_empty();
         let dense = DenseIndex::build(
-            &states,
-            &transitions,
-            &projection_cache,
-            &signatures,
+            tables.states,
+            tables.transitions,
+            tables.projection_cache,
+            tables.signatures,
             |op| {
                 chains_empty
                     && Op::from_id(OpId(op))
                         .is_some_and(|o| grammar.dynamic_base_rules(o).is_empty())
             },
         );
-        let dyn_eval = DynEvalTable::build(&grammar);
         AutomatonSnapshot {
             epoch,
             grammar,
             config,
-            states,
-            projections,
-            transitions,
-            projection_cache,
-            signatures,
+            states: tables.states.to_vec(),
+            projections: tables.projections.to_vec(),
             dense,
             heat,
             dyn_eval,
@@ -300,16 +304,15 @@ impl AutomatonSnapshot {
         &self.projections
     }
 
-    pub(crate) fn transitions(&self) -> &FxHashMap<TransKey, StateId> {
-        &self.transitions
+    /// The dense index — the snapshot's only copy of the transitions,
+    /// projections and signatures, enumerated by persist export and by
+    /// [`OnDemandAutomaton::from_snapshot`](crate::OnDemandAutomaton::from_snapshot).
+    pub(crate) fn dense(&self) -> &DenseIndex {
+        &self.dense
     }
 
-    pub(crate) fn projection_cache(&self) -> &FxHashMap<(StateId, u16, u8), StateId> {
-        &self.projection_cache
-    }
-
-    pub(crate) fn signatures(&self) -> &SignatureInterner {
-        &self.signatures
+    pub(crate) fn dyn_eval(&self) -> &Arc<DynEvalTable> {
+        &self.dyn_eval
     }
 
     /// The flush epoch this snapshot belongs to. State ids are only
@@ -330,110 +333,31 @@ impl AutomatonSnapshot {
         self.config
     }
 
-    /// Size statistics, including per-component byte accounting.
+    /// Size statistics, including per-component byte accounting: the
+    /// entry counts come from the dense index, and the numbers equal
+    /// the publishing master's
+    /// [`accounted_bytes`](crate::OnDemandAutomaton::accounted_bytes).
     pub fn stats(&self) -> SnapshotStats {
-        let bytes = govern::account_tables(&govern::TableView {
-            states: &self.states,
-            projections: &self.projections,
-            transitions: &self.transitions,
-            projection_cache: &self.projection_cache,
-            signatures: &self.signatures,
-            project_children: self.config.project_children,
-        });
-        debug_assert_eq!(
-            bytes.dense_index,
-            self.dense.byte_size(),
-            "accounted dense-index bytes must equal the built index"
-        );
+        let counts = self.dense.counts();
         SnapshotStats {
             epoch: self.epoch,
             states: self.states.len(),
             projections: self.projections.len(),
-            transitions: self.transitions.len(),
-            cached_projections: self.projection_cache.len(),
-            signatures: self.signatures.len(),
-            bytes,
+            transitions: counts.transitions,
+            cached_projections: counts.cached_projections,
+            signatures: counts.signatures,
+            bytes: govern::component_bytes(
+                &self.states,
+                &self.projections,
+                counts,
+                self.dense.byte_size(),
+            ),
         }
     }
 
     /// The data of a state.
     pub fn state(&self, id: StateId) -> &StateData {
         &self.states[id.0 as usize]
-    }
-
-    /// Looks up an already-interned dynamic-cost signature. `None` means
-    /// the signature is unknown to this snapshot — a miss that must go to
-    /// the writer.
-    pub fn find_signature(&self, costs: &[RuleCost]) -> Option<SigId> {
-        self.signatures.find(costs)
-    }
-
-    /// Non-mutating transition lookup: `Some(state)` if `(op, kids, sig)`
-    /// is memoized in this snapshot, `None` on a miss.
-    ///
-    /// In projection mode the child states are first resolved through the
-    /// frozen projection cache; an unseen `(child, op, position)` triple
-    /// is a miss like any other.
-    pub fn lookup(&self, op: Op, kid_states: &[StateId], sig: SigId) -> Option<StateId> {
-        debug_assert!(
-            op.arity() <= MAX_ARITY,
-            "operator {op} has arity {} > MAX_ARITY={MAX_ARITY}: TransKey would truncate",
-            op.arity()
-        );
-        debug_assert!(
-            kid_states.len() >= op.arity(),
-            "lookup needs all {} child states of {op}, got {}",
-            op.arity(),
-            kid_states.len()
-        );
-        let mut key = TransKey {
-            op: op.id().0,
-            kids: [NO_CHILD; MAX_ARITY],
-            sig,
-        };
-        for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
-            key.kids[i] = if self.config.project_children {
-                self.projection_cache.get(&(k, op.id().0, i as u8))?.0
-            } else {
-                k.0
-            };
-        }
-        self.transitions.get(&key).copied()
-    }
-
-    /// Evaluates the dynamic-cost rules applicable at `node` into
-    /// `scratch`, returning `false` when there are none — the node's
-    /// signature is statically [`SigId::EMPTY`]. Shared by both warm
-    /// walks (the dyncost evaluation is identical work); each walk then
-    /// resolves the filled scratch through its own signature structure
-    /// — the dense probe or the interner's hash map. `scratch` is a
-    /// caller-owned buffer reused across nodes so the warm loops never
-    /// allocate per node, and dispatch goes through the flattened
-    /// [`DynEvalTable`]: per eval, one sequential function-pointer read
-    /// and the cost function itself.
-    #[inline]
-    fn node_dyn_costs(
-        &self,
-        forest: &Forest,
-        node: NodeId,
-        op: Op,
-        counters: &mut WorkCounters,
-        scratch: &mut Vec<RuleCost>,
-    ) -> bool {
-        let base = &*self.dyn_eval.base[op.id().0 as usize];
-        let chains = &*self.dyn_eval.chains;
-        if base.is_empty() && chains.is_empty() {
-            return false;
-        }
-        scratch.clear();
-        for f in base {
-            scratch.push(f(forest, node));
-        }
-        for f in chains {
-            scratch.push(f(forest, node));
-        }
-        counters.dyncost_evals += (base.len() + chains.len()) as u64;
-        true
     }
 
     /// Labels as much of `forest` as this snapshot can answer, using
@@ -453,8 +377,8 @@ impl AutomatonSnapshot {
     /// flat-slot probe per transition (plus one per child in projection
     /// mode) and a flat dead-flag read — no hashing, no `Arc` chase.
     /// Misses stop the walk (the grow path recomputes from the returned
-    /// arena prefix, exactly as with the hash walk); dense probes are
-    /// counted as [`WorkCounters::table_lookups`].
+    /// arena prefix); dense probes are counted as
+    /// [`WorkCounters::table_lookups`].
     pub fn label_warm(&self, forest: &Forest, counters: &mut WorkCounters) -> WarmWalk {
         if self.config.project_children {
             self.label_warm_impl::<true>(forest, counters)
@@ -471,6 +395,7 @@ impl AutomatonSnapshot {
         counters: &mut WorkCounters,
     ) -> WarmWalk {
         let dense = &self.dense;
+        let dyn_eval = &*self.dyn_eval;
         let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
         let mut scratch: Vec<RuleCost> = Vec::new();
         // Per-node tallies accumulate in locals and flush once — the
@@ -505,15 +430,14 @@ impl AutomatonSnapshot {
             // grammar's dynamic-rule tables; dynamic nodes resolve
             // their cost vector through the dense signature probe
             // instead of the interner's hash map.
-            let sig =
-                if g.sig_static() || !self.node_dyn_costs(forest, id, op, counters, &mut scratch) {
-                    SigId::EMPTY
-                } else {
-                    match dense.find_sig(&scratch) {
-                        Some(s) => s,
-                        None => break 'walk,
-                    }
-                };
+            let sig = if g.sig_static() || !dyn_eval.eval(forest, id, op, counters, &mut scratch) {
+                SigId::EMPTY
+            } else {
+                match dense.find_sig(&scratch) {
+                    Some(s) => s,
+                    None => break 'walk,
+                }
+            };
             // The probe result carries the dead flag in its top bit, so
             // the `NoCover` check costs no extra load.
             match dense.lookup_enc(g, kids[0], kids[1], sig.0) {
@@ -534,110 +458,26 @@ impl AutomatonSnapshot {
         WarmWalk { states, nocover }
     }
 
-    /// The retained `FxHashMap` warm walk: arena order, one hash-map
-    /// probe per node (plus a hashed projection resolution per child in
-    /// projection mode), dead check through the `Arc` state arena. This
-    /// is the pre-dense-index fast path, kept as the `label_hot`
-    /// benchmark baseline and as the differential oracle for the dense
-    /// index.
-    pub fn label_warm_hash(&self, forest: &Forest, counters: &mut WorkCounters) -> WarmWalk {
-        let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
-        let mut scratch: Vec<RuleCost> = Vec::new();
-        for (id, node) in forest.iter() {
-            let mut kids = [StateId(0); MAX_ARITY];
-            for (i, &c) in node.children().iter().enumerate() {
-                kids[i] = states[c.index()];
-            }
-            counters.nodes += 1;
-            counters.hash_lookups += 1;
-            let sig = if !self.node_dyn_costs(forest, id, node.op(), counters, &mut scratch) {
-                SigId::EMPTY
-            } else {
-                match self.find_signature(&scratch) {
-                    Some(s) => s,
-                    None => break,
-                }
-            };
-            match self.lookup(node.op(), &kids[..node.op().arity()], sig) {
-                Some(sid) => {
-                    if self.state(sid).is_dead() {
-                        return WarmWalk {
-                            states,
-                            nocover: Some(id),
-                        };
-                    }
-                    counters.memo_hits += 1;
-                    states.push(sid);
-                }
-                None => break,
-            }
-        }
-        WarmWalk {
-            states,
-            nocover: None,
-        }
-    }
-
-    /// Every memoized transition in raw form (unspecified order), for
-    /// diagnostics and the dense-index differential tests.
-    pub fn raw_transitions(&self) -> Vec<RawTransition> {
-        self.transitions
-            .iter()
-            .map(|(k, &v)| RawTransition {
-                op: k.op,
-                kids: k.kids,
-                sig: k.sig.0,
-                state: v,
-            })
-            .collect()
-    }
-
-    /// Every projection-cache entry in raw form (unspecified order).
-    pub fn raw_projections(&self) -> Vec<RawProjection> {
-        self.projection_cache
-            .iter()
-            .map(|(&(full, op, pos), &proj)| RawProjection {
-                full,
-                op,
-                pos,
-                projection: proj,
-            })
-            .collect()
-    }
-
-    /// Raw transition probe through the canonical `FxHashMap` (no
-    /// projection resolution — `kids` are the key's own child ids).
-    pub fn lookup_raw_hash(&self, op: u16, kids: [u32; 2], sig: u32) -> Option<StateId> {
-        self.transitions
-            .get(&TransKey {
-                op,
-                kids,
-                sig: SigId(sig),
-            })
-            .copied()
-    }
-
-    /// Raw transition probe through the dense index; must agree with
-    /// [`lookup_raw_hash`](Self::lookup_raw_hash) on every key, seen or
-    /// unseen.
+    /// Raw transition probe through the dense index (no projection
+    /// resolution — `kids` are the key's own child ids); must agree with
+    /// the publishing master's
+    /// [`lookup_raw`](crate::OnDemandAutomaton::lookup_raw) on every
+    /// key, seen or unseen.
     pub fn lookup_raw_dense(&self, op: u16, kids: [u32; 2], sig: u32) -> Option<StateId> {
         self.dense.lookup(op, kids[0], kids[1], sig)
     }
 
-    /// Raw projection-cache probe through the canonical `FxHashMap`.
-    pub fn project_raw_hash(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
-        self.projection_cache.get(&(full, op, pos)).copied()
-    }
-
     /// Raw projection-cache probe through the dense index; must agree
-    /// with [`project_raw_hash`](Self::project_raw_hash) everywhere.
+    /// with the master's
+    /// [`project_raw`](crate::OnDemandAutomaton::project_raw) everywhere.
     pub fn project_raw_dense(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
         self.dense.project(full.0, op, pos)
     }
 
-    /// Signature probe through the dense table; must agree with
-    /// [`find_signature`](Self::find_signature) (the interner's hash
-    /// map) on every cost vector, interned or not.
+    /// Signature probe through the dense table; must agree with the
+    /// master's
+    /// [`find_signature`](crate::OnDemandAutomaton::find_signature) (the
+    /// interner's hash map) on every cost vector, interned or not.
     pub fn find_signature_dense(&self, costs: &[RuleCost]) -> Option<SigId> {
         self.dense.find_sig(costs)
     }
@@ -692,6 +532,15 @@ mod tests {
         (auto, f)
     }
 
+    /// The snapshot's warm walk over `forest`, which must resolve every
+    /// node.
+    fn warm_states(snap: &AutomatonSnapshot, forest: &Forest) -> Vec<StateId> {
+        let walk = snap.label_warm(forest, &mut WorkCounters::new());
+        assert!(walk.nocover.is_none());
+        assert_eq!(walk.states.len(), forest.len(), "warm snapshot must hit");
+        walk.states
+    }
+
     #[test]
     fn snapshot_reproduces_warm_labeling() {
         let (auto, forest) = warmed();
@@ -699,14 +548,7 @@ mod tests {
         assert_eq!(snap.stats().states, auto.stats().states);
         assert_eq!(snap.stats().transitions, auto.stats().transitions);
         // Re-label the forest against the snapshot only.
-        let mut states: Vec<StateId> = Vec::new();
-        for (_, node) in forest.iter() {
-            let kids: Vec<StateId> = node.children().iter().map(|c| states[c.index()]).collect();
-            let sid = snap
-                .lookup(node.op(), &kids, SigId::EMPTY)
-                .expect("warm snapshot must hit");
-            states.push(sid);
-        }
+        let states = warm_states(&snap, &forest);
         // Same states as the master automaton assigns.
         let relabeled = {
             let mut auto = auto;
@@ -720,9 +562,21 @@ mod tests {
         let (auto, _) = warmed();
         let snap = auto.snapshot();
         // A (op, kids) combination never labeled: Load of the Add state.
-        let op: Op = "LoadI8".parse().unwrap();
-        let unseen = snap.lookup(op, &[StateId(1)], SigId::EMPTY);
-        assert!(unseen.is_none());
+        let mut f = Forest::new();
+        let root = parse_sexpr(
+            &mut f,
+            "(StoreI8 (ConstI8 0) (LoadI8 (AddI8 (LoadI8 (ConstI8 4)) (ConstI8 2))))",
+        )
+        .unwrap();
+        f.add_root(root);
+        let walk = snap.label_warm(&f, &mut WorkCounters::new());
+        assert!(walk.nocover.is_none());
+        assert!(walk.states.len() < f.len(), "the unseen node must miss");
+        let stop = f.node(NodeId(walk.states.len() as u32));
+        let load: Op = "LoadI8".parse().unwrap();
+        let add: Op = "AddI8".parse().unwrap();
+        assert_eq!(stop.op(), load);
+        assert_eq!(f.node(stop.children()[0]).op(), add);
     }
 
     #[test]
@@ -763,15 +617,7 @@ mod tests {
         let (auto, forest) = warmed();
         let snap = auto.snapshot();
         assert!(snap.heat_counts().iter().all(|&h| h == 0));
-        let states: Vec<StateId> = {
-            let mut states = Vec::new();
-            for (_, node) in forest.iter() {
-                let kids: Vec<StateId> =
-                    node.children().iter().map(|c| states[c.index()]).collect();
-                states.push(snap.lookup(node.op(), &kids, SigId::EMPTY).unwrap());
-            }
-            states
-        };
+        let states = warm_states(&snap, &forest);
         snap.record_heat(&states);
         let heat = snap.heat_counts();
         assert_eq!(

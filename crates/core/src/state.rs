@@ -206,13 +206,8 @@ impl StateSet {
         &self.states[id.0 as usize]
     }
 
-    /// A shared copy of the arena, cheap to clone (one refcount bump per
-    /// state). This is what snapshot publication uses.
-    pub fn share_arena(&self) -> Vec<Arc<StateData>> {
-        self.states.clone()
-    }
-
-    /// A borrowed view of the arena, for byte accounting and compaction.
+    /// A borrowed view of the arena, for byte accounting, compaction and
+    /// snapshot publication (which shares it by reference count).
     pub(crate) fn arena(&self) -> &[Arc<StateData>] {
         &self.states
     }

@@ -546,13 +546,14 @@ impl TargetEntry {
         let mut warm = false;
         let master = match tables_dir.map(|d| d.join(format!("{}.odbt", self.name))) {
             Some(path) if path.exists() => {
-                let snapshot = persist::load_tables(&path, Arc::clone(&self.grammar), self.mode)
-                    .map_err(|error| ServiceError::Tables {
-                        target: self.name.clone(),
-                        error,
-                    })?;
+                let master =
+                    crate::strategy::load_master(&path, Arc::clone(&self.grammar), self.mode)
+                        .map_err(|error| ServiceError::Tables {
+                            target: self.name.clone(),
+                            error,
+                        })?;
                 warm = true;
-                SharedOnDemand::with_seed_snapshot(Arc::new(snapshot))
+                SharedOnDemand::new(master)
             }
             _ => SharedOnDemand::new(OnDemandAutomaton::with_config(
                 Arc::clone(&self.grammar),

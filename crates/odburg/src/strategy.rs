@@ -398,10 +398,11 @@ impl AnyLabeler {
     /// Warm-starts the selector for `strategy` directly from a table
     /// file: resolves the strategy's on-demand configuration, imports
     /// and validates the tables against `normal` (grammar fingerprint,
-    /// configuration, integrity), and builds the warm labeler. This is
-    /// the one-stop path the CLI and the service registry route through,
-    /// so every caller rejects mismatched tables the same way instead of
-    /// silently falling back to a cold start.
+    /// configuration, integrity) straight into a master automaton, and
+    /// builds the warm labeler — the file is parsed once and one dense
+    /// index is built. This is the one-stop path the CLI routes
+    /// through, so every caller rejects mismatched tables the same way
+    /// instead of silently falling back to a cold start.
     ///
     /// # Errors
     ///
@@ -419,9 +420,13 @@ impl AnyLabeler {
             .ok_or(WarmStartError::Unsupported(WarmStartUnsupported {
                 strategy,
             }))?;
-        let snapshot =
-            persist::load_tables(path, normal, config).map_err(WarmStartError::Persist)?;
-        AnyLabeler::build_warm(strategy, Arc::new(snapshot)).map_err(WarmStartError::Unsupported)
+        let master = load_master(path, normal, config).map_err(WarmStartError::Persist)?;
+        // Only the on-demand strategies have a configuration, so a
+        // master reaching this point is one of theirs.
+        Ok(match strategy {
+            Strategy::Shared => AnyLabeler::Shared(Box::new(SharedOnDemand::new(master))),
+            _ => AnyLabeler::OnDemand(Box::new(master)),
+        })
     }
 
     /// The normalized grammar the selector labels against. Reductions of
@@ -568,6 +573,18 @@ impl RuleChooser for AnyChooser<'_> {
             ChooserInner::Macro(l) => l.rule_for(node, nt),
         }
     }
+}
+
+/// Imports the table file at `path` straight into a master automaton
+/// (see [`persist::import_automaton`]) — the warm-start path of
+/// [`AnyLabeler::build_warm_from_tables`] and the service registry.
+pub(crate) fn load_master(
+    path: &Path,
+    normal: Arc<NormalGrammar>,
+    config: OnDemandConfig,
+) -> Result<OnDemandAutomaton, PersistError> {
+    let file = std::fs::File::open(path)?;
+    persist::import_automaton(std::io::BufReader::new(file), normal, config)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use odburg::grammar::{CostExpr, GrammarBuilder, Pattern};
 use odburg::prelude::*;
+use odburg::select::{StateId, WarmWalk};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,4 +135,41 @@ pub fn run_all<'a>(
         .map(|(target, forest)| server.try_submit(target, forest).expect("job accepted"))
         .collect();
     wait_all(server, handles)
+}
+
+/// The hash-table warm walk over a master automaton's public probes —
+/// the reference the snapshot's dense walk is checked against: arena
+/// order, a dynamic node's signature through the interner, one
+/// `peek_transition`, and the dead check through the state arena.
+/// Stops at the first miss, exactly like the dense walk.
+pub fn hash_walk(master: &OnDemandAutomaton, forest: &Forest) -> WarmWalk {
+    let grammar = master.grammar();
+    let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
+    for (id, node) in forest.iter() {
+        let op = node.op();
+        let kids: Vec<StateId> = node.children().iter().map(|c| states[c.index()]).collect();
+        let costs: Vec<RuleCost> = grammar
+            .dynamic_base_rules(op)
+            .iter()
+            .chain(grammar.dynamic_chain_rules())
+            .map(|&rule| grammar.rule_cost_at(rule, forest, id))
+            .collect();
+        let Some(sig) = master.find_signature(&costs) else {
+            break;
+        };
+        match master.peek_transition(op, &kids, sig) {
+            Some(sid) if master.state(sid).is_dead() => {
+                return WarmWalk {
+                    states,
+                    nocover: Some(id),
+                }
+            }
+            Some(sid) => states.push(sid),
+            None => break,
+        }
+    }
+    WarmWalk {
+        states,
+        nocover: None,
+    }
 }

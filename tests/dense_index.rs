@@ -1,15 +1,19 @@
-//! Differential properties of the dense warm-path index against the
-//! canonical `FxHashMap` tables it is derived from.
+//! Differential properties of a published snapshot's dense warm-path
+//! index against the master automaton's `FxHashMap` tables it is built
+//! from.
 //!
 //! The dense index (per-operator open-addressed transition slots, flat
-//! projection table, signature probe — see `odburg_core::dense`) is a
-//! *pure projection* of a snapshot's hash tables: every memoized key
-//! must resolve to the same state through both structures, every unseen
-//! key must miss through both, and the two warm walks built on top of
-//! them must agree node for node. These properties are checked over
-//! random grammars and random forests, in both child-projection modes,
-//! and — because compaction rebuilds the index from remapped state ids
-//! — across a `BudgetPolicy::Compact` epoch change.
+//! projection table, signature probe — see `odburg_core::dense`) is the
+//! only table a snapshot keeps, and a *pure projection* of the master's
+//! hash tables at publication: every memoized key must resolve to the
+//! same state through both structures, every unseen key must miss
+//! through both, and the dense warm walk must agree node for node with
+//! a hash walk over the master's probes (`common::hash_walk`). These
+//! properties are checked over random grammars and random forests, in
+//! both child-projection modes, and — because compaction rebuilds the
+//! index from remapped state ids — across a `BudgetPolicy::Compact`
+//! epoch change. Every master mutation publishes, so the snapshot read
+//! after labeling always mirrors the master's current tables.
 
 mod common;
 
@@ -22,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use odburg::prelude::*;
 use odburg::workloads::TreeSampler;
 
-use common::random_grammar;
+use common::{hash_walk, random_grammar};
 
 /// Labels `trees` sampled forests through a fresh shared automaton so
 /// its snapshot memoizes a realistic mix of transitions, projections
@@ -48,40 +52,46 @@ fn warmed(
     (normal, forests, shared)
 }
 
-/// Every memoized transition and projection resolves identically
-/// through the dense index and the hash tables, and single-component
+/// Every memoized transition and projection of the master resolves
+/// identically through the snapshot's dense index and the master's hash
+/// tables, the index holds no entry beyond them, and single-component
 /// mutations of every memoized key (a near-collision stress for the
 /// open-addressed probe) miss or hit identically.
-fn assert_index_agrees(snap: &AutomatonSnapshot) {
-    let transitions = snap.raw_transitions();
-    assert!(!transitions.is_empty(), "warmed snapshot has transitions");
+fn assert_index_agrees(snap: &AutomatonSnapshot, master: &OnDemandAutomaton) {
+    let transitions = master.raw_transitions();
+    assert!(!transitions.is_empty(), "warmed master has transitions");
+    let projections = master.raw_projections();
+    let stats = snap.stats();
+    assert_eq!(
+        stats.transitions,
+        transitions.len(),
+        "index transition count"
+    );
+    assert_eq!(stats.cached_projections, projections.len());
     for t in &transitions {
         assert_eq!(
             snap.lookup_raw_dense(t.op, t.kids, t.sig),
             Some(t.state),
             "memoized key missed the dense probe"
         );
-        assert_eq!(snap.lookup_raw_hash(t.op, t.kids, t.sig), Some(t.state));
+        assert_eq!(master.lookup_raw(t.op, t.kids, t.sig), Some(t.state));
         for (dop, dk0, dk1, ds) in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)] {
             let op = t.op.wrapping_add(dop);
             let kids = [t.kids[0].wrapping_add(dk0), t.kids[1].wrapping_add(dk1)];
             let sig = t.sig.wrapping_add(ds);
             assert_eq!(
                 snap.lookup_raw_dense(op, kids, sig),
-                snap.lookup_raw_hash(op, kids, sig),
+                master.lookup_raw(op, kids, sig),
                 "mutated key ({op}, {kids:?}, {sig}) disagrees"
             );
         }
     }
-    for p in snap.raw_projections() {
+    for p in projections {
         assert_eq!(
             snap.project_raw_dense(p.full, p.op, p.pos),
             Some(p.projection)
         );
-        assert_eq!(
-            snap.project_raw_hash(p.full, p.op, p.pos),
-            Some(p.projection)
-        );
+        assert_eq!(master.project_raw(p.full, p.op, p.pos), Some(p.projection));
         let missed = (
             odburg::select::StateId(p.full.0.wrapping_add(1)),
             p.op,
@@ -89,19 +99,24 @@ fn assert_index_agrees(snap: &AutomatonSnapshot) {
         );
         assert_eq!(
             snap.project_raw_dense(missed.0, missed.1, missed.2),
-            snap.project_raw_hash(missed.0, missed.1, missed.2)
+            master.project_raw(missed.0, missed.1, missed.2)
         );
     }
 }
 
-/// Both warm walks answer the same forest with the same state prefix
-/// and the same `NoCover` outcome; a fully warmed forest resolves
-/// completely with zero misses through both.
-fn assert_walks_agree(snap: &AutomatonSnapshot, forest: &Forest, fully_warm: bool) {
+/// The dense walk and the hash walk over the master answer the same
+/// forest with the same state prefix and the same `NoCover` outcome; a
+/// fully warmed forest resolves completely with zero misses through
+/// both.
+fn assert_walks_agree(
+    snap: &AutomatonSnapshot,
+    master: &OnDemandAutomaton,
+    forest: &Forest,
+    fully_warm: bool,
+) {
     let mut dense_counters = WorkCounters::new();
     let dense = snap.label_warm(forest, &mut dense_counters);
-    let mut hash_counters = WorkCounters::new();
-    let hash = snap.label_warm_hash(forest, &mut hash_counters);
+    let hash = hash_walk(master, forest);
     assert_eq!(dense.states, hash.states, "walk states diverge");
     assert_eq!(dense.nocover, hash.nocover, "walk NoCover outcomes diverge");
     if fully_warm {
@@ -122,43 +137,47 @@ proptest! {
         let project = rng.gen_bool(0.5);
         let (_, forests, shared) = warmed(seed, project, 10);
         let snap = shared.snapshot();
-        assert_index_agrees(&snap);
-        for forest in &forests {
-            assert_walks_agree(&snap, forest, true);
-        }
-        for _ in 0..32 {
-            let (op, kid0, kid1, sig) = (
-                rng.gen_range(0..u16::MAX),
-                rng.gen_range(0..u32::MAX),
-                rng.gen_range(0..u32::MAX),
-                rng.gen_range(0..u32::MAX),
-            );
-            prop_assert_eq!(
-                snap.lookup_raw_dense(op, [kid0, kid1], sig),
-                snap.lookup_raw_hash(op, [kid0, kid1], sig)
-            );
-        }
-        for _ in 0..16 {
-            let costs: Vec<RuleCost> = (0..rng.gen_range(0..4usize))
-                .map(|_| {
-                    if rng.gen_bool(0.3) {
-                        RuleCost::Infinite
-                    } else {
-                        RuleCost::Finite(rng.gen_range(0..8))
-                    }
-                })
-                .collect();
-            prop_assert_eq!(
-                snap.find_signature_dense(&costs),
-                snap.find_signature(&costs),
-                "signature probe disagrees on {:?}", costs
-            );
-        }
+        shared.with_read(|master| -> Result<(), TestCaseError> {
+            assert_index_agrees(&snap, master);
+            for forest in &forests {
+                assert_walks_agree(&snap, master, forest, true);
+            }
+            for _ in 0..32 {
+                let (op, kid0, kid1, sig) = (
+                    rng.gen_range(0..u16::MAX),
+                    rng.gen_range(0..u32::MAX),
+                    rng.gen_range(0..u32::MAX),
+                    rng.gen_range(0..u32::MAX),
+                );
+                prop_assert_eq!(
+                    snap.lookup_raw_dense(op, [kid0, kid1], sig),
+                    master.lookup_raw(op, [kid0, kid1], sig)
+                );
+            }
+            for _ in 0..16 {
+                let costs: Vec<RuleCost> = (0..rng.gen_range(0..4usize))
+                    .map(|_| {
+                        if rng.gen_bool(0.3) {
+                            RuleCost::Infinite
+                        } else {
+                            RuleCost::Finite(rng.gen_range(0..8))
+                        }
+                    })
+                    .collect();
+                prop_assert_eq!(
+                    snap.find_signature_dense(&costs),
+                    master.find_signature(&costs),
+                    "signature probe disagrees on {:?}", costs
+                );
+            }
+            Ok(())
+        })?;
     }
 
-    /// A forest the snapshot has never seen stops both walks at the
-    /// same node with the same prefix (the resume contract of the grow
-    /// path does not depend on which structure answered).
+    /// A forest the snapshot has never seen stops the dense walk and the
+    /// hash walk at the same node with the same prefix (the resume
+    /// contract of the grow path does not depend on which structure
+    /// answered).
     #[test]
     fn unseen_forests_miss_identically(seed in 0u64..(1u64 << 48)) {
         let (normal, _, shared) = warmed(seed, false, 4);
@@ -166,7 +185,7 @@ proptest! {
         let mut sampler = TreeSampler::new(&normal, seed ^ 0xF4E57);
         for _ in 0..6 {
             let fresh = sampler.sample_forest(6);
-            assert_walks_agree(&snap, &fresh, false);
+            shared.with_read(|master| assert_walks_agree(&snap, master, &fresh, false));
         }
     }
 
@@ -202,14 +221,14 @@ proptest! {
         if compacting.counters().compactions > 0 {
             let snap = compacting.snapshot();
             assert!(snap.epoch() > 0, "compaction advances the epoch");
-            assert_index_agrees(&snap);
+            compacting.with_read(|master| assert_index_agrees(&snap, master));
             // Forests labeled through the compacting automaton most
             // recently are warm in the fresh epoch; both walks must
             // agree on them against the rebuilt index.
             let warm = sampler.sample_forest(8);
             compacting.label_forest(&warm).expect("labels");
             let snap = compacting.snapshot();
-            assert_walks_agree(&snap, &warm, true);
+            compacting.with_read(|master| assert_walks_agree(&snap, master, &warm, true));
         }
     }
 }

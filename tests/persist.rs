@@ -163,3 +163,160 @@ fn socket_shipped_bytes_match_a_file_export_bit_identically() {
         assert_eq!(relabeled.state_of(id), original.state_of(id));
     }
 }
+
+/// FNV-1a over a byte string: a stable fingerprint for pinning exported
+/// table bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// A forest x86ish cannot cover: labeling it memoizes a transition to
+/// the dead state.
+fn uncoverable() -> Forest {
+    let mut forest = Forest::new();
+    let root = parse_sexpr(&mut forest, "(ModF4 (ConstF4 #1.0) (ConstF4 #2.0))").unwrap();
+    forest.add_root(root);
+    forest
+}
+
+/// x86ish in direct mode, warmed on the x86ish jobs of a fixed
+/// `builtin_traffic` slice plus one uncoverable forest.
+fn golden_traffic_automaton() -> OnDemandAutomaton {
+    let normal = Arc::new(odburg::targets::x86ish().normalize());
+    let mut auto = OnDemandAutomaton::new(Arc::clone(&normal));
+    for job in odburg::workloads::builtin_traffic(7, 60) {
+        if job.target == "x86ish" {
+            auto.label_forest(&job.forest).expect("traffic labels");
+        }
+    }
+    assert!(matches!(
+        auto.label_forest(&uncoverable()),
+        Err(LabelError::NoCover { .. })
+    ));
+    auto
+}
+
+/// x86ish in projection mode, warmed on a fixed random workload whose
+/// payloads exercise the dynamic-cost rules.
+fn golden_projected_automaton() -> OnDemandAutomaton {
+    let normal = Arc::new(odburg::targets::x86ish().normalize());
+    let mut auto = OnDemandAutomaton::with_config(
+        Arc::clone(&normal),
+        OnDemandConfig {
+            project_children: true,
+            ..OnDemandConfig::default()
+        },
+    );
+    let workload = odburg::workloads::random_workload(&normal, 11, 40);
+    auto.label_forest(&workload.forest)
+        .expect("workload labels");
+    auto
+}
+
+/// The table format is pinned byte for byte: exporting the same warmed
+/// automata must produce exactly these bytes (length and FNV-1a hash),
+/// whatever representation the snapshot keeps its tables in.
+#[test]
+fn exported_bytes_match_the_pinned_golden_hashes() {
+    let traffic = golden_traffic_automaton();
+    let projected = golden_projected_automaton();
+    assert!(
+        projected.stats().signatures > 1,
+        "the projected golden must carry dynamic-cost signatures"
+    );
+    assert!(projected.snapshot().stats().cached_projections > 0);
+    // Pinned from the exports of the release that still kept hash-map
+    // copies in every snapshot.
+    for (name, auto, len, hash) in [
+        ("traffic", &traffic, 60370, 0xcf221b2a259cd5eb),
+        ("projected", &projected, 63851, 0x473d8cfa547a4ccf),
+    ] {
+        let bytes = exported(auto);
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (len, hash),
+            "{name}: exported bytes moved"
+        );
+    }
+}
+
+/// `from_snapshot` rebuilds the master's hash tables and signature
+/// interner from the snapshot's dense index. The rebuilt master must
+/// match the original on stats, accounted bytes and re-exported bytes
+/// (so every state, projection and signature id survived), and label
+/// the training forests — and a forest it memoized as uncoverable — with
+/// zero misses, in both projection modes and in the epoch after a
+/// compaction.
+#[test]
+fn masters_rebuilt_from_a_snapshot_match_the_original() {
+    let normal = Arc::new(odburg::targets::x86ish().normalize());
+    for (project_children, compact) in [(false, false), (true, false), (false, true)] {
+        let mut auto = OnDemandAutomaton::with_config(
+            Arc::clone(&normal),
+            OnDemandConfig {
+                project_children,
+                ..OnDemandConfig::default()
+            },
+        );
+        let mut forests: Vec<Forest> = (0..3)
+            .map(|i| odburg::workloads::random_workload(&normal, 30 + i, 20).forest)
+            .collect();
+        for forest in &forests {
+            auto.label_forest(forest).expect("training labels");
+        }
+        if compact {
+            let stats = auto.compact(auto.accounted_bytes().total() / 2, &[]);
+            assert!(stats.evicted_states > 0, "{stats:?}");
+            // Train the new epoch on one forest; the others keep only
+            // what survived the compaction.
+            forests.truncate(1);
+            auto.label_forest(&forests[0])
+                .expect("post-compaction labels");
+            assert_eq!(auto.epoch(), 1);
+        }
+        // A memoized dead transition rides along.
+        assert!(auto.label_forest(&uncoverable()).is_err());
+        let tag = format!("project_children={project_children} compact={compact}");
+        assert!(
+            auto.stats().signatures > 1,
+            "{tag}: no dynamic-cost signatures"
+        );
+
+        let snap = auto.snapshot();
+        let mut rebuilt = OnDemandAutomaton::from_snapshot(&snap);
+        assert_eq!(
+            rebuilt.stats(),
+            odburg::select::OnDemandStats {
+                flushes: 0,
+                compactions: 0,
+                ..auto.stats()
+            },
+            "{tag}"
+        );
+        assert_eq!(rebuilt.accounted_bytes(), auto.accounted_bytes(), "{tag}");
+        assert_eq!(rebuilt.epoch(), auto.epoch(), "{tag}");
+        assert_eq!(
+            exported(&rebuilt),
+            exported(&auto),
+            "{tag}: re-export differs"
+        );
+        for forest in &forests {
+            let labeling = rebuilt.label_forest(forest).expect("rebuilt labels");
+            assert_eq!(
+                labeling,
+                auto.label_forest(forest).expect("original labels")
+            );
+        }
+        assert!(matches!(
+            rebuilt.label_forest(&uncoverable()),
+            Err(LabelError::NoCover { .. })
+        ));
+        assert_eq!(
+            rebuilt.counters().memo_misses,
+            0,
+            "{tag}: rebuilt master missed"
+        );
+    }
+}
