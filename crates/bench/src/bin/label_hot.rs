@@ -1,10 +1,11 @@
 //! **The warm labeling hot path: dense index vs. the FxHashMap
 //! baseline.**
 //!
-//! Every snapshot publication builds a dense warm-path index —
-//! per-operator grouped, open-addressed transition slots plus
-//! structure-of-arrays state facts — and it is the only table a
-//! snapshot keeps; the lock-free fast path labels forests by
+//! Every snapshot carries a dense warm-path index — per-operator
+//! open-addressed transition regions plus structure-of-arrays state
+//! facts, grown by the master and shared with its snapshots — and it
+//! is the only table a snapshot keeps; the lock-free fast path labels
+//! forests by
 //! topological levels against it. This binary measures what that buys
 //! on a **fully warm** automaton: ns/node for the dense level-batched
 //! walk (`AutomatonSnapshot::label_warm`) against a per-node
@@ -16,7 +17,15 @@
 //! Both walks run over the same tables (the snapshot and the master it
 //! was published from) and the same sampled forest, and are asserted
 //! to resolve identical states with **zero** warm misses — the
-//! comparison is purely the lookup structures. The summary is written
+//! comparison is purely the lookup structures.
+//!
+//! Per target it also times what growth costs on that warm automaton:
+//! `publish_one_miss_us`, the best `SharedOnDemand::label_forest` of a
+//! one-tree forest with exactly one memo miss (a fresh miss each rep,
+//! so each one grows the master and publishes a snapshot), and
+//! `import_us`, the best `persist::read_tables_from` of the warm
+//! tables — a full parse plus a from-scratch index build, the cost a
+//! publication would have if it rebuilt the index. The summary is written
 //! to `target/label_hot.json` for the CI hot-path smoke job; absolute
 //! numbers come from a small shared container, so read the ratios, not
 //! the nanoseconds.
@@ -25,8 +34,10 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use odburg_bench::{f, median_time, row, rule_line};
+use odburg_core::persist;
 use odburg_core::signature::SigId;
 use odburg_core::{OnDemandAutomaton, SharedOnDemand, StateId, WarmWalk, WorkCounters};
 use odburg_grammar::{CostExpr, DynCostFn, NormalGrammar, RuleCost};
@@ -36,6 +47,10 @@ use odburg_workloads::TreeSampler;
 const TREES: usize = 400;
 const SEED: u64 = 0x0dbu64 * 1_000_003;
 const REPS: usize = 17;
+/// One-miss publications timed per target (each needs its own fresh
+/// miss) and the cap on sampled candidate trees to find them in.
+const PUBLISH_REPS: usize = 25;
+const PUBLISH_CANDIDATES: usize = 20_000;
 
 struct Target {
     name: String,
@@ -46,6 +61,9 @@ struct Target {
     warm_misses: u64,
     dense_probes: u64,
     dyncost_evals: u64,
+    /// `None` when the warm automaton left no one-miss tree to find.
+    publish_one_miss_us: Option<f64>,
+    import_us: f64,
 }
 
 fn main() {
@@ -139,6 +157,16 @@ fn main() {
         let hash_ns = hash_best;
         let speedup = hash_ns / dense_ns;
 
+        let mut tables = Vec::new();
+        persist::write_tables_to(&snap, &mut tables).expect("export succeeds");
+        let import_us = best_us(REPS, || {
+            std::hint::black_box(
+                persist::read_tables_from(&tables[..], Arc::clone(&normal), master.config())
+                    .expect("import succeeds"),
+            );
+        });
+        let publish_one_miss_us = publish_one_miss_us(&SharedOnDemand::new(master), &normal);
+
         row(
             &[
                 name.clone(),
@@ -159,7 +187,36 @@ fn main() {
             warm_misses,
             dense_probes: dense_counters.table_lookups,
             dyncost_evals: dense_counters.dyncost_evals,
+            publish_one_miss_us,
+            import_us,
         });
+    }
+
+    println!("\nGrowth on the warm automaton: one-miss publication vs full import\n");
+    let growth_widths = [9, 12, 10, 8];
+    row(
+        &[
+            "target".into(),
+            "publish 1 miss".into(),
+            "import".into(),
+            "ratio".into(),
+        ],
+        &growth_widths,
+    );
+    row(
+        &["".into(), "us".into(), "us".into(), "".into()],
+        &growth_widths,
+    );
+    rule_line(&growth_widths);
+    for t in &targets {
+        let (publish, ratio) = match t.publish_one_miss_us {
+            Some(p) => (f(p, 1), format!("{}x", f(t.import_us / p, 1))),
+            None => ("-".into(), "-".into()),
+        };
+        row(
+            &[t.name.clone(), publish, f(t.import_us, 1), ratio],
+            &growth_widths,
+        );
     }
 
     let total_misses: u64 = targets.iter().map(|t| t.warm_misses).sum();
@@ -203,7 +260,8 @@ fn main() {
             json,
             "    {{\"target\": \"{}\", \"nodes\": {}, \"hash_ns_per_node\": {:.2}, \
              \"dense_ns_per_node\": {:.2}, \"speedup\": {:.3}, \"warm_misses\": {}, \
-             \"dense_probes\": {}, \"dyncost_evals\": {}}}{}",
+             \"dense_probes\": {}, \"dyncost_evals\": {}, \"publish_one_miss_us\": {}, \
+             \"import_us\": {:.2}}}{}",
             t.name,
             t.nodes,
             t.hash_ns,
@@ -212,6 +270,9 @@ fn main() {
             t.warm_misses,
             t.dense_probes,
             t.dyncost_evals,
+            t.publish_one_miss_us
+                .map_or_else(|| "null".to_string(), |p| format!("{p:.2}")),
+            t.import_us,
             if i + 1 < targets.len() { "," } else { "" },
         );
     }
@@ -219,6 +280,59 @@ fn main() {
     std::fs::create_dir_all("target").ok();
     std::fs::write("target/label_hot.json", &json).expect("write target/label_hot.json");
     println!("\nwrote target/label_hot.json");
+}
+
+/// The best of `reps` timed runs of `f` (after one untimed), in µs.
+fn best_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            micros(t.elapsed())
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn micros(d: Duration) -> f64 {
+    d.as_nanos() as f64 / 1e3
+}
+
+/// The best time of `SharedOnDemand::label_forest` on a one-tree forest
+/// the published snapshot answers up to its root, with exactly one memo
+/// miss — the root's transition — so the call grows the master by one
+/// transition and publishes. Each rep samples candidates until one
+/// misses only at the root against the *current* snapshot, so every rep
+/// pays a fresh miss. `None` when no candidate qualifies (a target
+/// whose sampled workload has converged).
+fn publish_one_miss_us(shared: &SharedOnDemand, normal: &Arc<NormalGrammar>) -> Option<f64> {
+    let mut sampler = TreeSampler::new(normal, SEED ^ 0x000B_115E);
+    let mut best: Option<f64> = None;
+    let mut reps = 0;
+    for _ in 0..PUBLISH_CANDIDATES {
+        if reps == PUBLISH_REPS {
+            break;
+        }
+        let forest = sampler.sample_forest(1);
+        let walk = shared
+            .snapshot()
+            .label_warm(&forest, &mut WorkCounters::new());
+        if walk.nocover.is_some() || walk.states.len() + 1 != forest.len() {
+            continue;
+        }
+        let misses = shared.counters().memo_misses;
+        let published = shared.snapshots_published();
+        let t0 = Instant::now();
+        let labeled = shared.label_forest(&forest);
+        let t = micros(t0.elapsed());
+        if labeled.is_err() || shared.counters().memo_misses != misses + 1 {
+            continue;
+        }
+        assert_eq!(shared.snapshots_published(), published + 1);
+        reps += 1;
+        best = Some(best.map_or(t, |b: f64| b.min(t)));
+    }
+    best
 }
 
 /// Per operator id, the cost functions of its dynamic base rules

@@ -43,12 +43,12 @@ fn main() {
         .expect("suite labels");
     let t = Instant::now();
     let mut table_bytes = Vec::new();
-    persist::export_snapshot(&trainer.snapshot(), &mut table_bytes).expect("export succeeds");
+    persist::write_tables_to(&trainer.snapshot(), &mut table_bytes).expect("export succeeds");
     let export = t.elapsed();
 
     // "Today's restarted process": import the tables and warm-start.
     let t = Instant::now();
-    let snapshot = persist::import_snapshot(&table_bytes[..], normal.clone(), trainer.config())
+    let snapshot = persist::read_tables_from(&table_bytes[..], normal.clone(), trainer.config())
         .expect("import succeeds");
     let import = t.elapsed();
     let mut warm = OnDemandAutomaton::from_snapshot(&snapshot);

@@ -1,5 +1,6 @@
 //! The dense warm-path index: the flat, cache-friendly tables a
-//! published snapshot answers from, built once at publication.
+//! published snapshot answers from, grown by the master in step with its
+//! hash tables and shared with the snapshots it publishes.
 //!
 //! The mutable master automaton memoizes into `FxHashMap`s — correct,
 //! but every node would pay a hash of a 16-byte key, a bucket probe
@@ -8,36 +9,51 @@
 //! The paper's bet is that the warm path is a *pure table lookup*; this
 //! module makes the lookup look like one to the hardware:
 //!
-//! * **Per-operator grouped transition slots** — all transitions of one
-//!   operator live in a contiguous, open-addressed, power-of-two region
-//!   of a single flat slot array. The hash seed is fixed at build time
-//!   and each group records the longest displacement any of its keys
-//!   needed, so a lookup is one bounded linear probe: typically the
-//!   home slot, worst-case `probe_cap + 1` adjacent 16-byte slots.
-//! * **Structure-of-arrays state arena** — the per-state facts the read
+//! * **Per-operator transition regions** — all transitions of one
+//!   operator live in their own open-addressed, power-of-two slot
+//!   region. The hash seed is fixed and each region records the longest
+//!   displacement any of its keys needed, so a lookup is one header
+//!   load and one bounded linear probe: typically the home slot,
+//!   worst-case `probe_cap + 1` adjacent 16-byte slots.
+//! * **Structure-of-arrays state facts** — the per-state facts the read
 //!   paths touch (the per-nonterminal optimal rule) are copied out of
-//!   the `Arc<StateData>` arena into flat arrays indexed by `StateId`,
-//!   so the hot loop never chases a pointer. Deadness is folded into
-//!   the transition slots themselves ([`DEAD_BIT`]), so the warm walk
-//!   needs no separate per-state load at all.
-//! * **Dense projection table** — in projection mode the child-state →
-//!   projection resolution is one probe of a flat `(packed key, value)`
-//!   table instead of a second `FxHashMap` hash per child.
+//!   the `Arc<StateData>` arena into one flat array indexed by
+//!   `StateId`, so the hot loop never chases a pointer. Deadness is
+//!   folded into the transition slots themselves ([`DEAD_BIT`]), so the
+//!   warm walk needs no separate per-state load at all.
+//! * **Dense projection and signature tables** — in projection mode the
+//!   child-state → projection resolution is one probe of a flat
+//!   `(packed key, value)` region, and a node's dynamic-cost vector
+//!   resolves through a fixed-seed hash screen plus flattened cost
+//!   words, instead of `FxHashMap` hashes.
+//!
+//! **Growth and publication.** Every region is held in an `Arc`. The
+//! master keeps its own index and inserts each transition, projection,
+//! signature and state into it as it memoizes them, through one insert
+//! routine ([`Region::insert`]): a region still shared with a published
+//! snapshot is copied on its first write after that publication, and a
+//! region whose load would pass one half is rebuilt at twice the size.
+//! Publishing a snapshot clones the index — the region `Arc`s plus the
+//! O(states) rule rows — so its cost follows the number of operators and
+//! states, not the number of transitions, and consecutive snapshots
+//! share every region the master did not touch between them. A batch
+//! build ([`DenseIndex::build`]: import, compaction) runs the same
+//! insert routine over regions sized in advance.
 //!
 //! The index is the **only** table representation a snapshot keeps: it
-//! stores every key it was built from, so the snapshot's other readers
-//! (persist export, [`OnDemandAutomaton::from_snapshot`], `stats`)
-//! enumerate it ([`DenseIndex::transitions`],
-//! [`DenseIndex::projections`], [`DenseIndex::signatures`]) instead of
-//! a hash-map copy. It is **never serialized**: it is built from the
-//! master's tables at every publication and at
-//! [`persist`](crate::persist) import, and its footprint is a
-//! deterministic function of the table contents ([`IndexShape`]) so the
-//! memory governor can account for it without materializing anything
-//! (see [`ComponentBytes::dense_index`](crate::ComponentBytes)).
+//! stores every key it holds, so the snapshot's other readers (persist
+//! export, [`OnDemandAutomaton::from_snapshot`], `stats`) enumerate it
+//! ([`DenseIndex::transitions`], [`DenseIndex::projections`],
+//! [`DenseIndex::signatures`]) instead of a hash-map copy. It is **never
+//! serialized**. The slot layout depends on the order of insertion, but
+//! the footprint is a deterministic function of the entry counts
+//! ([`IndexShape`]), so the memory governor accounts for it identically
+//! for live masters, snapshots and table files (see
+//! [`ComponentBytes::dense_index`](crate::ComponentBytes)).
 //! `tests/dense_index.rs` property-checks exact hit/miss agreement with
-//! the master's hash tables, including across compaction rebuilds that
-//! remap ids.
+//! the master's hash tables and with a from-scratch batch build,
+//! including across publications, compaction rebuilds that remap ids,
+//! and older snapshots pinned while the master grows.
 //!
 //! [`OnDemandAutomaton::from_snapshot`]: crate::OnDemandAutomaton::from_snapshot
 
@@ -45,9 +61,8 @@ use std::sync::Arc;
 
 use odburg_grammar::{NormalRuleId, NtId, RuleCost};
 
-use crate::fxhash::FxHashMap;
-use crate::govern::TableCounts;
-use crate::signature::{SigId, SignatureInterner};
+use crate::govern::{TableCounts, TableView};
+use crate::signature::SigId;
 use crate::snapshot::TransKey;
 use crate::state::{StateData, StateId};
 
@@ -58,7 +73,7 @@ const EMPTY_STATE: u32 = u32::MAX;
 /// Top bit of an occupied slot's `state` field: the target state is
 /// dead (`NoCover`). Folding the flag into the probe result spares the
 /// warm walk a dependent load of the dead array per node. State ids are
-/// arena indices bounded far below `2^31` (asserted at build), and the
+/// arena indices bounded far below `2^31` (asserted at insert), and the
 /// encoding cannot collide with [`EMPTY_STATE`] — that would need id
 /// `2^31 - 1`, excluded by the same bound.
 pub(crate) const DEAD_BIT: u32 = 1 << 31;
@@ -82,8 +97,24 @@ pub(crate) const SIG_OFFSET_BYTES: usize = 4;
 /// Accounted bytes per flattened signature cost word.
 pub(crate) const SIG_COST_BYTES: usize = 4;
 
+/// Top bit of a region's `probe_cap`: this operator's dynamic-cost
+/// signature is statically empty, so a warm node's signature is
+/// [`SigId::EMPTY`] and the walk can skip the grammar's dynamic-rule
+/// machinery entirely. Displacements are bounded by the slot count, far
+/// below `2^31`.
+const SIG_STATIC_BIT: u32 = 1 << 31;
+
+/// One kind of open-addressed slot: what an empty slot looks like and
+/// where a key's probe sequence starts.
+trait Slot: Copy {
+    const EMPTY: Self;
+    fn is_empty(&self) -> bool;
+    /// The fixed-seed hash of the slot's key.
+    fn hash(&self) -> u64;
+}
+
 /// One open-addressed transition slot. The operator is implicit in the
-/// group, so the key compare is `(kid0, kid1, sig)`.
+/// region, so the key compare is `(kid0, kid1, sig)`.
 #[derive(Debug, Clone, Copy)]
 struct TransSlot {
     kid0: u32,
@@ -92,50 +123,19 @@ struct TransSlot {
     state: u32,
 }
 
-const EMPTY_SLOT: TransSlot = TransSlot {
-    kid0: 0,
-    kid1: 0,
-    sig: 0,
-    state: EMPTY_STATE,
-};
-
-/// One operator's region of the slot array. `mask == 0` marks an
-/// operator with no memoized transitions (every lookup misses).
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    offset: u32,
-    mask: u32,
-    /// Longest displacement any key in the group needed at build time
-    /// (lookups probe at most that many + 1 adjacent slots), with the
-    /// top bit carrying [`SIG_STATIC_BIT`]: the operator has no dynamic
-    /// rules, so a warm node's signature is statically
-    /// [`SigId::EMPTY`](crate::SigId::EMPTY) and the walk can skip the
-    /// grammar's dynamic-rule machinery entirely.
-    probe_cap: u32,
-}
-
-/// Top bit of [`Group::probe_cap`]: this operator's dynamic-cost
-/// signature is statically empty. Displacements are bounded by the slot
-/// count, far below `2^31`.
-const SIG_STATIC_BIT: u32 = 1 << 31;
-
-const EMPTY_GROUP: Group = Group {
-    offset: 0,
-    mask: 0,
-    probe_cap: 0,
-};
-
-/// An opaque, copyable handle to one operator's group header (see
-/// [`DenseIndex::group`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupRef(Group);
-
-impl GroupRef {
-    /// The precomputed statically-empty-signature bit (see
-    /// [`DenseIndex::build`]'s `sig_static`).
+impl Slot for TransSlot {
+    const EMPTY: Self = TransSlot {
+        kid0: 0,
+        kid1: 0,
+        sig: 0,
+        state: EMPTY_STATE,
+    };
     #[inline(always)]
-    pub fn sig_static(self) -> bool {
-        self.0.probe_cap & SIG_STATIC_BIT != 0
+    fn is_empty(&self) -> bool {
+        self.state == EMPTY_STATE
+    }
+    fn hash(&self) -> u64 {
+        mix(self.kid0, self.kid1, self.sig)
     }
 }
 
@@ -147,10 +147,19 @@ struct ProjSlot {
     val: u32,
 }
 
-const EMPTY_PROJ_SLOT: ProjSlot = ProjSlot {
-    key: EMPTY_PROJ_KEY,
-    val: 0,
-};
+impl Slot for ProjSlot {
+    const EMPTY: Self = ProjSlot {
+        key: EMPTY_PROJ_KEY,
+        val: 0,
+    };
+    #[inline(always)]
+    fn is_empty(&self) -> bool {
+        self.key == EMPTY_PROJ_KEY
+    }
+    fn hash(&self) -> u64 {
+        mix_proj(self.key)
+    }
+}
 
 /// One signature slot: the fixed-seed hash of an interned cost vector
 /// and its [`SigId`]. The hash screens out almost every non-match; the
@@ -165,10 +174,19 @@ struct SigSlot {
 /// ids are interner indices, bounded far below `u32::MAX`.
 const EMPTY_SIG_ID: u32 = u32::MAX;
 
-const EMPTY_SIG_SLOT: SigSlot = SigSlot {
-    hash: 0,
-    id: EMPTY_SIG_ID,
-};
+impl Slot for SigSlot {
+    const EMPTY: Self = SigSlot {
+        hash: 0,
+        id: EMPTY_SIG_ID,
+    };
+    #[inline(always)]
+    fn is_empty(&self) -> bool {
+        self.id == EMPTY_SIG_ID
+    }
+    fn hash(&self) -> u64 {
+        self.hash
+    }
+}
 
 /// Injective 32-bit encoding of a [`RuleCost`] for the flattened
 /// signature storage: finite costs are `u16`, so `u32::MAX` is free for
@@ -192,8 +210,7 @@ fn decode_cost(w: u32) -> RuleCost {
 
 /// Fixed-seed hash of a dynamic-cost vector (FNV-1a over the encoded
 /// words, with a final avalanche). Like [`mix`], the seed is a
-/// compile-time constant so the slot layout is a pure function of the
-/// interned signatures.
+/// compile-time constant.
 #[inline(always)]
 fn mix_sig(costs: &[RuleCost]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -206,8 +223,8 @@ fn mix_sig(costs: &[RuleCost]) -> u64 {
 }
 
 /// Fixed-seed mix of a transition key's non-operator half. The seed is
-/// a compile-time constant: the slot layout is reproducible for a given
-/// table, which keeps the index a pure function of the snapshot.
+/// a compile-time constant, so a key's home slot depends only on the
+/// key and the region size.
 #[inline(always)]
 fn mix(kid0: u32, kid1: u32, sig: u32) -> u64 {
     let mut x = (kid0 as u64) ^ ((kid1 as u64) << 21) ^ ((sig as u64) << 42);
@@ -245,11 +262,146 @@ pub(crate) fn slots_for(n: usize) -> usize {
     }
 }
 
+/// The one bounded probe every table shares: scans from `hash`'s home
+/// slot for at most `probe_cap + 1` slots (ignoring
+/// [`SIG_STATIC_BIT`]), stopping at the first empty slot. `slots` is a
+/// power-of-two region, or empty.
+#[inline(always)]
+fn probe<S: Slot>(slots: &[S], probe_cap: u32, hash: u64, hit: impl Fn(&S) -> bool) -> Option<&S> {
+    let mask = slots.len().checked_sub(1)? as u64;
+    // Re-slicing to the region bounds-checks once; inside the loop
+    // `i & mask < region.len()` is provable, so each probe is a bare
+    // load.
+    let region = &slots[..=mask as usize];
+    let home = hash & mask;
+    for i in home..=home + (probe_cap & !SIG_STATIC_BIT) as u64 {
+        let slot = &region[(i & mask) as usize];
+        if slot.is_empty() {
+            return None;
+        }
+        if hit(slot) {
+            return Some(slot);
+        }
+    }
+    None
+}
+
+/// One open-addressed region: a power-of-two slot array (load at most
+/// one half; no slots when empty) held in an `Arc` so that the master
+/// and the snapshots it published share it until the master writes to
+/// it again.
+#[derive(Debug, Clone)]
+struct Region<S> {
+    slots: Arc<[S]>,
+    /// Longest displacement any key needed (lookups probe at most that
+    /// many + 1 slots), with [`SIG_STATIC_BIT`] on transition regions.
+    probe_cap: u32,
+    /// Occupied slots.
+    len: u32,
+}
+
+impl<S: Slot> Region<S> {
+    /// An empty region sized for `n` entries, carrying `flags` (the
+    /// [`SIG_STATIC_BIT`] of a transition region).
+    fn with_capacity(n: usize, flags: u32) -> Self {
+        let cap = slots_for(n);
+        Region {
+            // An empty slice `Arc` is a shared static: the many regions
+            // of operators without transitions allocate nothing.
+            slots: if cap == 0 {
+                Arc::default()
+            } else {
+                std::iter::repeat_n(S::EMPTY, cap).collect()
+            },
+            probe_cap: flags,
+            len: 0,
+        }
+    }
+
+    /// The insert routine of every table: places slots whose keys the
+    /// region does not hold yet — one for the master's growth, a whole
+    /// region's worth for a batch build. A region whose load would pass
+    /// one half is first rebuilt at [`slots_for`] its new entry count
+    /// (so its size stays a function of the count); a region still
+    /// shared with a snapshot is copied before the write.
+    fn insert(&mut self, new: &[S]) {
+        if new.is_empty() {
+            return;
+        }
+        let len = self.len as usize + new.len();
+        if slots_for(len) > self.slots.len() {
+            let flags = self.probe_cap & SIG_STATIC_BIT;
+            let old = std::mem::replace(self, Region::with_capacity(len, flags));
+            self.place(old.entries().copied());
+        }
+        self.place(new.iter().copied());
+    }
+
+    /// Linear-probe placement into a region with room for every slot.
+    fn place(&mut self, new: impl Iterator<Item = S>) {
+        let mask = self.slots.len() as u64 - 1;
+        let slots = Arc::make_mut(&mut self.slots);
+        let mut cap = self.probe_cap & !SIG_STATIC_BIT;
+        for slot in new {
+            let mut i = slot.hash() & mask;
+            let mut displacement = 0u32;
+            while !slots[i as usize].is_empty() {
+                i = (i + 1) & mask;
+                displacement += 1;
+            }
+            slots[i as usize] = slot;
+            self.len += 1;
+            cap = cap.max(displacement);
+        }
+        self.probe_cap = cap | (self.probe_cap & SIG_STATIC_BIT);
+    }
+
+    #[inline(always)]
+    fn probe(&self, hash: u64, hit: impl Fn(&S) -> bool) -> Option<&S> {
+        probe(&self.slots, self.probe_cap, hash, hit)
+    }
+
+    /// The occupied slots, in slot order.
+    fn entries(&self) -> impl Iterator<Item = &S> {
+        self.slots.iter().filter(|s| !s.is_empty())
+    }
+}
+
+/// An opaque, copyable handle to one operator's transition region (see
+/// [`DenseIndex::group`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupRef<'a> {
+    slots: &'a [TransSlot],
+    probe_cap: u32,
+}
+
+impl GroupRef<'_> {
+    /// The operator's statically-empty-signature bit (see
+    /// [`DenseIndex::build`]'s `sig_static`).
+    #[inline(always)]
+    pub fn sig_static(self) -> bool {
+        self.probe_cap & SIG_STATIC_BIT != 0
+    }
+}
+
+/// The signature table: an open-addressed `(hash, SigId)` region over
+/// the non-empty interned signatures, verified against the flattened
+/// cost words. Shared like a region; copied when the master interns a
+/// signature after a publication.
+#[derive(Debug, Clone)]
+struct SigTable {
+    slots: Region<SigSlot>,
+    /// `offsets[id]..offsets[id + 1]` bounds signature `id`'s encoded
+    /// costs in `costs`.
+    offsets: Vec<u32>,
+    costs: Vec<u32>,
+}
+
 /// The deterministic shape (and therefore byte footprint) a dense index
 /// has for given table entry counts. The memory governor computes this
-/// from the canonical tables *without* building the index — the builder
-/// produces exactly this shape, which `AutomatonSnapshot::new`
-/// debug-asserts.
+/// for table files and compaction plans *without* building an index;
+/// a built or grown index has exactly this shape, which
+/// [`DenseIndex::build`] debug-asserts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IndexShape {
     /// Per-operator group headers: `max op id + 1` (0 with no
@@ -282,258 +434,217 @@ impl IndexShape {
     }
 }
 
-/// The shape an index over the given tables will have. Shared by the
-/// accounting path (which never builds an index) and the builder.
-pub(crate) fn shape_of<'a>(
-    trans_ops: impl Iterator<Item = u16>,
-    cache_entries: usize,
-    states: impl Iterator<Item = &'a Arc<StateData>>,
-    sigs: usize,
-    sig_cost_words: usize,
-) -> IndexShape {
-    let mut per_op: FxHashMap<u16, usize> = FxHashMap::default();
-    let mut max_op: Option<u16> = None;
-    for op in trans_ops {
-        *per_op.entry(op).or_insert(0) += 1;
-        max_op = Some(max_op.map_or(op, |m| m.max(op)));
-    }
-    let mut num_states = 0usize;
-    let mut num_nts = 0usize;
-    for s in states {
-        if num_states == 0 {
-            num_nts = s.len();
+/// Per-operator transition counts (indexed by op id, `max op + 1`
+/// long).
+fn per_op_counts(ops: impl Iterator<Item = u16>) -> Vec<usize> {
+    let mut per_op: Vec<usize> = Vec::new();
+    for op in ops {
+        let op = op as usize;
+        if per_op.len() <= op {
+            per_op.resize(op + 1, 0);
         }
-        num_states += 1;
+        per_op[op] += 1;
     }
+    per_op
+}
+
+/// The shape an index over `tables` has.
+pub(crate) fn shape_of(tables: &TableView<'_>) -> IndexShape {
+    let per_op = per_op_counts(tables.transitions.keys().map(|k| k.op));
     IndexShape {
-        groups: max_op.map_or(0, |m| m as usize + 1),
-        trans_slots: per_op.values().map(|&n| slots_for(n)).sum(),
-        proj_slots: slots_for(cache_entries),
-        states: num_states,
-        num_nts,
-        sigs,
-        sig_cost_words,
+        groups: per_op.len(),
+        trans_slots: per_op.iter().map(|&n| slots_for(n)).sum(),
+        proj_slots: slots_for(tables.projection_cache.len()),
+        states: tables.states.len(),
+        num_nts: tables.states.first().map_or(0, |s| s.len()),
+        sigs: tables.signatures.len(),
+        sig_cost_words: tables.signatures.iter().map(|s| s.len()).sum(),
     }
 }
 
-/// The dense warm-path index of one snapshot. See the [module
-/// docs](self).
-#[derive(Debug)]
+/// The dense warm-path index of a master automaton or of one snapshot.
+/// See the [module docs](self). `Clone` is the publication: it shares
+/// every region and copies the O(ops + states) rest.
+#[derive(Debug, Clone)]
 pub(crate) struct DenseIndex {
-    groups: Box<[Group]>,
-    slots: Box<[TransSlot]>,
-    proj_slots: Box<[ProjSlot]>,
-    proj_mask: u64,
-    proj_probe_cap: u32,
-    /// Open-addressed `(hash, SigId)` table over the non-empty interned
-    /// signatures, verified against the flattened cost words.
-    sig_slots: Box<[SigSlot]>,
-    sig_mask: u64,
-    sig_probe_cap: u32,
-    /// `sig_offsets[id]..sig_offsets[id + 1]` bounds signature `id`'s
-    /// encoded costs in `sig_costs`.
-    sig_offsets: Box<[u32]>,
-    sig_costs: Box<[u32]>,
+    /// Transition regions indexed by op id, up to the largest op with a
+    /// transition.
+    groups: Vec<Region<TransSlot>>,
+    projections: Region<ProjSlot>,
+    signatures: Arc<SigTable>,
     /// Flat `states × num_nts` optimal-rule array (`u32::MAX` = none).
-    rules: Box<[u32]>,
+    rules: Vec<u32>,
     num_nts: usize,
 }
 
+impl Default for DenseIndex {
+    /// The index of empty tables: only the empty signature.
+    fn default() -> Self {
+        DenseIndex {
+            groups: Vec::new(),
+            projections: Region::with_capacity(0, 0),
+            signatures: Arc::new(SigTable {
+                slots: Region::with_capacity(0, 0),
+                offsets: vec![0, 0],
+                costs: Vec::new(),
+            }),
+            rules: Vec::new(),
+            num_nts: 0,
+        }
+    }
+}
+
 impl DenseIndex {
-    /// Builds the index from the master's tables. Cold path: runs once
-    /// per publication / import.
+    /// Builds the index of `tables` (import, compaction, a master
+    /// assembled from parsed tables): every region is sized in advance
+    /// and filled through the same inserts the master's growth uses.
     ///
     /// `sig_static(op)` must return `true` only when a node with that
     /// operator provably has the empty dynamic-cost signature (no
     /// dynamic base rules for the op, no dynamic chain rules in the
     /// grammar); `false` is always safe and routes the walk through the
     /// full signature evaluation.
-    pub fn build(
-        states: &[Arc<StateData>],
-        transitions: &FxHashMap<TransKey, StateId>,
-        projection_cache: &FxHashMap<(StateId, u16, u8), StateId>,
-        signatures: &SignatureInterner,
-        sig_static: impl Fn(u16) -> bool,
-    ) -> DenseIndex {
-        debug_assert!(
-            states.len() < DEAD_BIT as usize,
-            "state arena too large for the slot sentinel and dead-bit encoding"
-        );
-        let shape = shape_of(
-            transitions.keys().map(|k| k.op),
-            projection_cache.len(),
-            states.iter(),
-            signatures.len(),
-            signatures.iter().map(|s| s.len()).sum(),
-        );
-
-        // Group headers: per-op slot counts -> contiguous regions.
-        let mut per_op: Vec<usize> = vec![0; shape.groups];
-        for key in transitions.keys() {
-            per_op[key.op as usize] += 1;
+    pub fn build(tables: &TableView<'_>, sig_static: impl Fn(u16) -> bool) -> DenseIndex {
+        let shape = shape_of(tables);
+        // Each region's entries are gathered first, so each is filled
+        // by one insert.
+        let mut per_op: Vec<Vec<TransSlot>> =
+            per_op_counts(tables.transitions.keys().map(|k| k.op))
+                .into_iter()
+                .map(Vec::with_capacity)
+                .collect();
+        for (key, &target) in tables.transitions {
+            let dead = tables
+                .states
+                .get(target.0 as usize)
+                .is_some_and(|s| s.is_dead());
+            per_op[key.op as usize].push(trans_slot(key, target, dead));
         }
-        let mut groups: Vec<Group> = vec![EMPTY_GROUP; shape.groups];
-        let mut offset = 0usize;
-        for (op, &n) in per_op.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let cap = slots_for(n);
-            groups[op] = Group {
-                offset: offset as u32,
-                mask: (cap - 1) as u32,
-                probe_cap: 0,
-            };
-            offset += cap;
-        }
-        debug_assert_eq!(offset, shape.trans_slots);
-
-        // Insert every transition with linear probing, recording the
-        // longest displacement per group.
-        let mut slots: Vec<TransSlot> = vec![EMPTY_SLOT; shape.trans_slots];
-        for (key, &target) in transitions.iter() {
-            let g = &mut groups[key.op as usize];
-            let mask = g.mask as u64;
-            let mut i = mix(key.kids[0], key.kids[1], key.sig.0) & mask;
-            let mut displacement = 0u32;
-            loop {
-                let slot = &mut slots[g.offset as usize + i as usize];
-                if slot.state == EMPTY_STATE {
-                    let dead = states.get(target.0 as usize).is_some_and(|s| s.is_dead());
-                    *slot = TransSlot {
-                        kid0: key.kids[0],
-                        kid1: key.kids[1],
-                        sig: key.sig.0,
-                        state: target.0 | if dead { DEAD_BIT } else { 0 },
-                    };
-                    g.probe_cap = g.probe_cap.max(displacement);
-                    break;
-                }
-                i = (i + 1) & mask;
-                displacement += 1;
-            }
-        }
-        for (op, g) in groups.iter_mut().enumerate() {
-            if sig_static(op as u16) {
-                g.probe_cap |= SIG_STATIC_BIT;
-            }
-        }
-
-        // Projection table: one flat region for every (full, op, pos).
-        let mut proj_slots: Vec<ProjSlot> = vec![EMPTY_PROJ_SLOT; shape.proj_slots];
-        let proj_mask = (shape.proj_slots.max(1) - 1) as u64;
-        let mut proj_probe_cap = 0u32;
-        for (&(full, op, pos), &proj) in projection_cache.iter() {
-            let key = pack_proj(full.0, op, pos);
-            let mut i = mix_proj(key) & proj_mask;
-            let mut displacement = 0u32;
-            loop {
-                let slot = &mut proj_slots[i as usize];
-                if slot.key == EMPTY_PROJ_KEY {
-                    *slot = ProjSlot { key, val: proj.0 };
-                    proj_probe_cap = proj_probe_cap.max(displacement);
-                    break;
-                }
-                i = (i + 1) & proj_mask;
-                displacement += 1;
-            }
-        }
-
-        // Signature table: non-empty interned signatures in id order
-        // (the id-0 empty signature is shortcut by `find_sig` and only
-        // contributes its offset entry), plus the flattened cost words
-        // the probe verifies against.
-        let sig_slot_count = slots_for(shape.sigs.saturating_sub(1));
-        let mut sig_slots: Vec<SigSlot> = vec![EMPTY_SIG_SLOT; sig_slot_count];
-        let sig_mask = (sig_slot_count.max(1) - 1) as u64;
-        let mut sig_probe_cap = 0u32;
-        let mut sig_offsets: Vec<u32> = Vec::with_capacity(shape.sigs + 1);
-        let mut sig_costs: Vec<u32> = Vec::with_capacity(shape.sig_cost_words);
-        sig_offsets.push(0);
-        for (id, costs) in signatures.iter().enumerate() {
-            sig_costs.extend(costs.iter().map(|&c| encode_cost(c)));
-            sig_offsets.push(sig_costs.len() as u32);
-            if id == 0 {
-                continue;
-            }
-            let hash = mix_sig(costs);
-            let mut i = hash & sig_mask;
-            let mut displacement = 0u32;
-            loop {
-                let slot = &mut sig_slots[i as usize];
-                if slot.id == EMPTY_SIG_ID {
-                    *slot = SigSlot {
-                        hash,
-                        id: id as u32,
-                    };
-                    sig_probe_cap = sig_probe_cap.max(displacement);
-                    break;
-                }
-                i = (i + 1) & sig_mask;
-                displacement += 1;
-            }
-        }
-
-        // Structure-of-arrays state facts.
-        let mut rules: Vec<u32> = Vec::with_capacity(states.len() * shape.num_nts);
-        for s in states {
-            rules.extend_from_slice(s.raw_parts().1);
-        }
-
-        let built = DenseIndex {
-            groups: groups.into_boxed_slice(),
-            slots: slots.into_boxed_slice(),
-            proj_slots: proj_slots.into_boxed_slice(),
-            proj_mask,
-            proj_probe_cap,
-            sig_slots: sig_slots.into_boxed_slice(),
-            sig_mask,
-            sig_probe_cap,
-            sig_offsets: sig_offsets.into_boxed_slice(),
-            sig_costs: sig_costs.into_boxed_slice(),
-            rules: rules.into_boxed_slice(),
-            num_nts: shape.num_nts,
+        let projections: Vec<ProjSlot> = tables
+            .projection_cache
+            .iter()
+            .map(|(&(full, op, pos), &proj)| proj_slot(full, op, pos, proj))
+            .collect();
+        let mut offsets = Vec::with_capacity(shape.sigs + 1);
+        offsets.extend([0, 0]);
+        let mut index = DenseIndex {
+            groups: per_op
+                .iter()
+                .enumerate()
+                .map(|(op, slots)| {
+                    let mut region =
+                        Region::with_capacity(slots.len(), static_flag(sig_static(op as u16)));
+                    region.insert(slots);
+                    region
+                })
+                .collect(),
+            projections: Region::with_capacity(projections.len(), 0),
+            signatures: Arc::new(SigTable {
+                slots: Region::with_capacity(shape.sigs.saturating_sub(1), 0),
+                offsets,
+                costs: Vec::with_capacity(shape.sig_cost_words),
+            }),
+            rules: Vec::with_capacity(shape.states * shape.num_nts),
+            num_nts: 0,
         };
-        debug_assert_eq!(built.byte_size(), shape.bytes());
-        built
+        for state in tables.states {
+            index.push_state(state);
+        }
+        for costs in tables.signatures.iter().skip(1) {
+            index.insert_signature(costs);
+        }
+        index.projections.insert(&projections);
+        debug_assert_eq!(index.byte_size(), shape.bytes());
+        index
     }
 
-    /// Accounted bytes — by construction equal to
-    /// [`IndexShape::bytes`] for this index's table counts.
+    /// Appends a new state's rule row (states are appended in id order).
+    pub fn push_state(&mut self, state: &StateData) {
+        if self.rules.is_empty() {
+            self.num_nts = state.len();
+        }
+        debug_assert_eq!(state.len(), self.num_nts, "full states share one width");
+        self.rules.extend_from_slice(state.raw_parts().1);
+    }
+
+    /// Inserts a memoized transition the index does not hold yet. An
+    /// operator beyond the current regions extends them with empty
+    /// regions carrying their `sig_static` bit.
+    pub fn insert_transition(
+        &mut self,
+        key: &TransKey,
+        target: StateId,
+        dead: bool,
+        sig_static: impl Fn(u16) -> bool,
+    ) {
+        let op = key.op as usize;
+        while self.groups.len() <= op {
+            let flags = static_flag(sig_static(self.groups.len() as u16));
+            self.groups.push(Region::with_capacity(0, flags));
+        }
+        self.groups[op].insert(&[trans_slot(key, target, dead)]);
+    }
+
+    /// Inserts a projection-cache entry the index does not hold yet.
+    pub fn insert_projection(&mut self, full: StateId, op: u16, pos: u8, projection: StateId) {
+        self.projections
+            .insert(&[proj_slot(full, op, pos, projection)]);
+    }
+
+    /// Appends a newly interned, non-empty signature as the next id.
+    pub fn insert_signature(&mut self, costs: &[RuleCost]) -> SigId {
+        debug_assert!(!costs.is_empty(), "the empty signature is pre-interned");
+        let table = Arc::make_mut(&mut self.signatures);
+        let id = (table.offsets.len() - 1) as u32;
+        table.costs.extend(costs.iter().map(|&c| encode_cost(c)));
+        table.offsets.push(table.costs.len() as u32);
+        table.slots.insert(&[SigSlot {
+            hash: mix_sig(costs),
+            id,
+        }]);
+        SigId(id)
+    }
+
+    /// Accounted bytes — equal to [`IndexShape::bytes`] for this index's
+    /// entry counts, computed from the region sizes in O(ops).
     pub fn byte_size(&self) -> usize {
+        let sigs = &*self.signatures;
         self.groups.len() * GROUP_HEADER_BYTES
-            + self.slots.len() * TRANS_SLOT_BYTES
-            + self.proj_slots.len() * PROJ_SLOT_BYTES
+            + self.groups.iter().map(|g| g.slots.len()).sum::<usize>() * TRANS_SLOT_BYTES
+            + self.projections.slots.len() * PROJ_SLOT_BYTES
             + self.rules.len() * 4
-            + self.sig_slots.len() * SIG_SLOT_BYTES
-            + self.sig_offsets.len() * SIG_OFFSET_BYTES
-            + self.sig_costs.len() * SIG_COST_BYTES
+            + sigs.slots.slots.len() * SIG_SLOT_BYTES
+            + sigs.offsets.len() * SIG_OFFSET_BYTES
+            + sigs.costs.len() * SIG_COST_BYTES
     }
 
-    /// The operator's group header, fetched once per node by the warm
+    /// The operator's region header, fetched once per node by the warm
     /// walk: it carries everything per-op the walk needs — the
     /// statically-empty-signature bit consulted before the probe and
     /// the slot region the probe then runs in. Unknown operators get
     /// the empty group (every lookup misses, signature conservatively
     /// dynamic).
     #[inline(always)]
-    pub fn group(&self, op: u16) -> GroupRef {
-        GroupRef(self.groups.get(op as usize).copied().unwrap_or(EMPTY_GROUP))
+    pub fn group(&self, op: u16) -> GroupRef<'_> {
+        match self.groups.get(op as usize) {
+            Some(g) => GroupRef {
+                slots: &g.slots,
+                probe_cap: g.probe_cap,
+            },
+            None => GroupRef {
+                slots: &[],
+                probe_cap: 0,
+            },
+        }
     }
 
-    /// One bounded probe of the grouped transition slots. Kid slots
+    /// One bounded probe of the operator's transition region. Kid slots
     /// beyond the operator's arity must be
     /// [`NO_CHILD`](crate::snapshot::NO_CHILD), exactly as in
     /// [`TransKey`].
     #[inline(always)]
     pub fn lookup(&self, op: u16, kid0: u32, kid1: u32, sig: u32) -> Option<StateId> {
-        self.lookup_in(self.group(op), kid0, kid1, sig)
-    }
-
-    /// [`DenseIndex::lookup`] with the group header already in hand.
-    #[inline(always)]
-    pub fn lookup_in(&self, g: GroupRef, kid0: u32, kid1: u32, sig: u32) -> Option<StateId> {
-        self.lookup_enc(g, kid0, kid1, sig)
+        self.lookup_enc(self.group(op), kid0, kid1, sig)
             .map(|enc| StateId(enc & !DEAD_BIT))
     }
 
@@ -541,49 +652,26 @@ impl DenseIndex {
     /// target [`StateId`] with [`DEAD_BIT`] set when the target is dead,
     /// so the warm walk's `NoCover` check needs no further load.
     #[inline(always)]
-    pub(crate) fn lookup_enc(&self, g: GroupRef, kid0: u32, kid1: u32, sig: u32) -> Option<u32> {
-        let g = g.0;
-        if g.mask == 0 {
-            return None;
-        }
-        let mask = g.mask as u64;
-        // Re-slicing to the group's region bounds-checks once; inside
-        // the loop `i & mask < region.len()` is provable, so each probe
-        // is a bare load.
-        let region = &self.slots[g.offset as usize..g.offset as usize + mask as usize + 1];
-        let home = mix(kid0, kid1, sig) & mask;
-        for i in home..=home + (g.probe_cap & !SIG_STATIC_BIT) as u64 {
-            let slot = &region[(i & mask) as usize];
-            if slot.state == EMPTY_STATE {
-                return None;
-            }
-            if slot.kid0 == kid0 && slot.kid1 == kid1 && slot.sig == sig {
-                return Some(slot.state);
-            }
-        }
-        None
+    pub(crate) fn lookup_enc(
+        &self,
+        g: GroupRef<'_>,
+        kid0: u32,
+        kid1: u32,
+        sig: u32,
+    ) -> Option<u32> {
+        probe(g.slots, g.probe_cap, mix(kid0, kid1, sig), |s| {
+            s.kid0 == kid0 && s.kid1 == kid1 && s.sig == sig
+        })
+        .map(|s| s.state)
     }
 
     /// One bounded probe of the projection table.
     #[inline(always)]
     pub fn project(&self, full: u32, op: u16, pos: u8) -> Option<StateId> {
-        if self.proj_slots.is_empty() {
-            return None;
-        }
         let key = pack_proj(full, op, pos);
-        let mask = self.proj_mask;
-        let region = &self.proj_slots[..mask as usize + 1];
-        let home = mix_proj(key) & mask;
-        for i in home..=home + self.proj_probe_cap as u64 {
-            let slot = &region[(i & mask) as usize];
-            if slot.key == EMPTY_PROJ_KEY {
-                return None;
-            }
-            if slot.key == key {
-                return Some(StateId(slot.val));
-            }
-        }
-        None
+        self.projections
+            .probe(mix_proj(key), |s| s.key == key)
+            .map(|s| StateId(s.val))
     }
 
     /// One bounded probe of the signature table: the [`SigId`] of an
@@ -595,88 +683,57 @@ impl DenseIndex {
         if costs.is_empty() {
             return Some(SigId::EMPTY);
         }
-        if self.sig_slots.is_empty() {
-            return None;
-        }
+        let sigs = &*self.signatures;
         let hash = mix_sig(costs);
-        let mask = self.sig_mask;
-        let region = &self.sig_slots[..mask as usize + 1];
-        let home = hash & mask;
-        for i in home..=home + self.sig_probe_cap as u64 {
-            let slot = &region[(i & mask) as usize];
-            if slot.id == EMPTY_SIG_ID {
-                return None;
-            }
-            if slot.hash == hash && self.sig_matches(slot.id, costs) {
-                return Some(SigId(slot.id));
-            }
-        }
-        None
-    }
-
-    /// Exact compare of interned signature `id` against `costs`.
-    #[inline]
-    fn sig_matches(&self, id: u32, costs: &[RuleCost]) -> bool {
-        let lo = self.sig_offsets[id as usize] as usize;
-        let hi = self.sig_offsets[id as usize + 1] as usize;
-        hi - lo == costs.len()
-            && self.sig_costs[lo..hi]
-                .iter()
-                .zip(costs)
-                .all(|(&w, &c)| w == encode_cost(c))
+        sigs.slots
+            .probe(hash, |s| s.hash == hash && sigs.matches(s.id, costs))
+            .map(|s| SigId(s.id))
     }
 
     /// Every memoized transition, enumerated from the slots (unspecified
-    /// order): the operator is the group index, the target the slot
+    /// order): the operator is the region index, the target the slot
     /// word without [`DEAD_BIT`].
     pub fn transitions(&self) -> impl Iterator<Item = (TransKey, StateId)> + '_ {
-        self.groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.mask != 0)
-            .flat_map(move |(op, g)| {
-                let start = g.offset as usize;
-                self.slots[start..=start + g.mask as usize]
-                    .iter()
-                    .filter(|s| s.state != EMPTY_STATE)
-                    .map(move |s| {
-                        let key = TransKey {
-                            op: op as u16,
-                            kids: [s.kid0, s.kid1],
-                            sig: SigId(s.sig),
-                        };
-                        (key, StateId(s.state & !DEAD_BIT))
-                    })
+        self.groups.iter().enumerate().flat_map(|(op, g)| {
+            g.entries().map(move |s| {
+                let key = TransKey {
+                    op: op as u16,
+                    kids: [s.kid0, s.kid1],
+                    sig: SigId(s.sig),
+                };
+                (key, StateId(s.state & !DEAD_BIT))
             })
+        })
     }
 
     /// Every projection-cache entry, unpacked from the slot keys
     /// (unspecified order).
     pub fn projections(&self) -> impl Iterator<Item = ((StateId, u16, u8), StateId)> + '_ {
-        self.proj_slots
-            .iter()
-            .filter(|s| s.key != EMPTY_PROJ_KEY)
+        self.projections
+            .entries()
             .map(|s| (unpack_proj(s.key), StateId(s.val)))
     }
 
     /// Every interned signature's cost vector, in id order (the empty
     /// signature first), decoded from the flattened cost words.
     pub fn signatures(&self) -> impl Iterator<Item = Vec<RuleCost>> + '_ {
-        self.sig_offsets.windows(2).map(|w| {
-            self.sig_costs[w[0] as usize..w[1] as usize]
+        let sigs = &*self.signatures;
+        sigs.offsets.windows(2).map(|w| {
+            sigs.costs[w[0] as usize..w[1] as usize]
                 .iter()
                 .map(|&c| decode_cost(c))
                 .collect()
         })
     }
 
-    /// Entry counts of the tables the index was built from.
+    /// Entry counts of the indexed tables, from the per-region counts
+    /// (O(ops)).
     pub fn counts(&self) -> TableCounts {
         TableCounts {
-            transitions: self.transitions().count(),
-            cached_projections: self.projections().count(),
-            signatures: self.sig_offsets.len() - 1,
-            sig_cost_words: self.sig_costs.len(),
+            transitions: self.groups.iter().map(|g| g.len as usize).sum(),
+            cached_projections: self.projections.len as usize,
+            signatures: self.signatures.offsets.len() - 1,
+            sig_cost_words: self.signatures.costs.len(),
         }
     }
 
@@ -695,11 +752,86 @@ impl DenseIndex {
     }
 }
 
+impl SigTable {
+    /// Exact compare of interned signature `id` against `costs`.
+    #[inline]
+    fn matches(&self, id: u32, costs: &[RuleCost]) -> bool {
+        let lo = self.offsets[id as usize] as usize;
+        let hi = self.offsets[id as usize + 1] as usize;
+        hi - lo == costs.len()
+            && self.costs[lo..hi]
+                .iter()
+                .zip(costs)
+                .all(|(&w, &c)| w == encode_cost(c))
+    }
+}
+
+/// The slot of transition `key` to `target`.
+fn trans_slot(key: &TransKey, target: StateId, dead: bool) -> TransSlot {
+    debug_assert!(
+        target.0 < DEAD_BIT - 1,
+        "state arena too large for the slot sentinel and dead-bit encoding"
+    );
+    TransSlot {
+        kid0: key.kids[0],
+        kid1: key.kids[1],
+        sig: key.sig.0,
+        state: target.0 | if dead { DEAD_BIT } else { 0 },
+    }
+}
+
+/// The slot of projection-cache entry `(full, op, pos) -> projection`.
+fn proj_slot(full: StateId, op: u16, pos: u8, projection: StateId) -> ProjSlot {
+    ProjSlot {
+        key: pack_proj(full.0, op, pos),
+        val: projection.0,
+    }
+}
+
+/// The region flags of an operator whose signature is (or is not)
+/// statically empty.
+fn static_flag(sig_static: bool) -> u32 {
+    if sig_static {
+        SIG_STATIC_BIT
+    } else {
+        0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signature::SigId;
+    use crate::fxhash::FxHashMap;
+    use crate::signature::{SigId, SignatureInterner};
     use crate::snapshot::{MAX_ARITY, NO_CHILD};
+
+    fn view<'a>(
+        states: &'a [Arc<StateData>],
+        transitions: &'a FxHashMap<TransKey, StateId>,
+        projection_cache: &'a FxHashMap<(StateId, u16, u8), StateId>,
+        signatures: &'a SignatureInterner,
+    ) -> TableView<'a> {
+        TableView {
+            states,
+            projections: &[],
+            transitions,
+            projection_cache,
+            signatures,
+            project_children: false,
+        }
+    }
+
+    fn build(
+        states: &[Arc<StateData>],
+        transitions: &FxHashMap<TransKey, StateId>,
+        projection_cache: &FxHashMap<(StateId, u16, u8), StateId>,
+        signatures: &SignatureInterner,
+    ) -> DenseIndex {
+        DenseIndex::build(
+            &view(states, transitions, projection_cache, signatures),
+            |_| false,
+        )
+    }
 
     fn key(op: u16, kids: [u32; MAX_ARITY], sig: u32) -> TransKey {
         TransKey {
@@ -722,7 +854,7 @@ mod tests {
         }
         let cache = FxHashMap::default();
         let sigs = SignatureInterner::new();
-        let idx = DenseIndex::build(&[], &transitions, &cache, &sigs, |_| false);
+        let idx = build(&[], &transitions, &cache, &sigs);
         for (k, &v) in transitions.iter() {
             assert_eq!(idx.lookup(k.op, k.kids[0], k.kids[1], k.sig.0), Some(v));
         }
@@ -743,7 +875,7 @@ mod tests {
             );
         }
         let sigs = SignatureInterner::new();
-        let idx = DenseIndex::build(&[], &FxHashMap::default(), &cache, &sigs, |_| false);
+        let idx = build(&[], &FxHashMap::default(), &cache, &sigs);
         for (&(full, op, pos), &v) in cache.iter() {
             assert_eq!(idx.project(full.0, op, pos), Some(v));
         }
@@ -765,14 +897,8 @@ mod tests {
         cache.insert((StateId(1), 2, 0), StateId(0));
         let mut sigs = SignatureInterner::new();
         sigs.intern(&[RuleCost::Finite(1), RuleCost::Infinite]);
-        let shape = shape_of(
-            transitions.keys().map(|k| k.op),
-            cache.len(),
-            [].iter(),
-            sigs.len(),
-            sigs.iter().map(|s| s.len()).sum(),
-        );
-        let idx = DenseIndex::build(&[], &transitions, &cache, &sigs, |_| false);
+        let shape = shape_of(&view(&[], &transitions, &cache, &sigs));
+        let idx = build(&[], &transitions, &cache, &sigs);
         assert_eq!(idx.byte_size(), shape.bytes());
         // Group regions: 33 entries -> 128 slots, 1 entry -> 2 slots.
         assert_eq!(shape.trans_slots, 128 + 2);
@@ -795,13 +921,7 @@ mod tests {
             sigs.intern(&v);
             vecs.push(v);
         }
-        let idx = DenseIndex::build(
-            &[],
-            &FxHashMap::default(),
-            &FxHashMap::default(),
-            &sigs,
-            |_| false,
-        );
+        let idx = build(&[], &FxHashMap::default(), &FxHashMap::default(), &sigs);
         for v in &vecs {
             assert_eq!(idx.find_sig(v), sigs.find(v));
         }
@@ -833,7 +953,7 @@ mod tests {
         // State 0 is dead: its slot word carries DEAD_BIT, which the
         // enumeration must strip.
         let states = [Arc::new(StateData::empty(2))];
-        let idx = DenseIndex::build(&states, &transitions, &cache, &sigs, |_| false);
+        let idx = build(&states, &transitions, &cache, &sigs);
         assert_eq!(idx.lookup_enc(idx.group(0), 0, NO_CHILD, 0), Some(DEAD_BIT));
         let enumerated: FxHashMap<TransKey, StateId> = idx.transitions().collect();
         assert_eq!(enumerated, transitions);
@@ -851,6 +971,55 @@ mod tests {
                 sig_cost_words: 3,
             }
         );
+    }
+
+    #[test]
+    fn growth_in_place_matches_a_batch_build_and_spares_clones() {
+        let mut transitions: FxHashMap<TransKey, StateId> = FxHashMap::default();
+        let mut cache: FxHashMap<(StateId, u16, u8), StateId> = FxHashMap::default();
+        let mut sigs = SignatureInterner::new();
+        let mut grown = DenseIndex::default();
+        let mut published: Vec<(DenseIndex, usize)> = Vec::new();
+        for i in 0..300u32 {
+            // Op 9 first, so the lower ops' regions appear as empty
+            // headers before their first transition.
+            let k = key(9 - (i % 4) as u16, [i, i % 7], i % 3);
+            transitions.insert(k, StateId(i));
+            grown.insert_transition(&k, StateId(i), false, |op| op == 6);
+            if i % 5 == 0 {
+                cache.insert((StateId(i), 2, 1), StateId(i / 5));
+                grown.insert_projection(StateId(i), 2, 1, StateId(i / 5));
+            }
+            if i % 40 == 0 {
+                let costs = [RuleCost::Finite(i as u16), RuleCost::Infinite];
+                assert_eq!(grown.insert_signature(&costs), sigs.intern(&costs));
+            }
+            // Publish now and then: each clone must stay exactly as it
+            // was while the master keeps growing.
+            if i % 37 == 0 {
+                published.push((grown.clone(), i as usize + 1));
+            }
+        }
+        let batch = DenseIndex::build(&view(&[], &transitions, &cache, &sigs), |op| op == 6);
+        assert_eq!(grown.byte_size(), batch.byte_size());
+        assert_eq!(grown.counts(), batch.counts());
+        for (k, &v) in &transitions {
+            assert_eq!(grown.lookup(k.op, k.kids[0], k.kids[1], k.sig.0), Some(v));
+            assert_eq!(batch.lookup(k.op, k.kids[0], k.kids[1], k.sig.0), Some(v));
+        }
+        for op in 0..12u16 {
+            assert_eq!(grown.group(op).sig_static(), batch.group(op).sig_static());
+            assert_eq!(grown.group(op).sig_static(), op == 6);
+        }
+        let enumerated: FxHashMap<TransKey, StateId> = grown.transitions().collect();
+        assert_eq!(enumerated, transitions);
+        for (snapshot, seen) in &published {
+            assert_eq!(snapshot.counts().transitions, *seen);
+            for (k, &v) in &transitions {
+                let expect = (v.0 < *seen as u32).then_some(v);
+                assert_eq!(snapshot.lookup(k.op, k.kids[0], k.kids[1], k.sig.0), expect);
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **Accounting** — [`ComponentBytes`] breaks an automaton's footprint
 //!   down per component (state arena, projection arena, transition
 //!   table, projection cache, signature interner, plus the derived
-//!   dense warm-path index a publication builds), computed identically
+//!   dense warm-path index snapshots share), computed identically
 //!   for live masters, published snapshots and persisted table files, so
 //!   a budget means the same thing everywhere.
 //! * **Heat** — the labeling hot paths keep cheap per-state touch
@@ -85,15 +85,15 @@ pub struct ComponentBytes {
     /// The dynamic-cost signature interner.
     pub signatures: usize,
     /// The dense warm-path index a published snapshot carries (see
-    /// [`crate::dense`](crate) module docs in `dense.rs`): grouped
-    /// transition slots, the flat projection table, and the
-    /// structure-of-arrays state facts. The index is *derived* — built
-    /// at publication or import, never serialized — but its footprint
-    /// is a deterministic function of the table entry counts, so it is
-    /// accounted identically for live masters (as the index the next
-    /// publication will carry), published snapshots (the index actually
-    /// built) and persisted files (the index an import will build).
-    /// Budgets therefore see the true snapshot footprint.
+    /// [`crate::dense`](crate) module docs in `dense.rs`): per-operator
+    /// transition regions, the projection table, the signature table
+    /// and the structure-of-arrays state facts. The index is *derived*
+    /// — grown by the master, shared with its snapshots, built at
+    /// import, never serialized — but its footprint is a deterministic
+    /// function of the table entry counts, so it is accounted
+    /// identically for live masters, published snapshots and persisted
+    /// files (the index an import will build). Budgets therefore see
+    /// the true snapshot footprint.
     pub dense_index: usize,
 }
 
@@ -208,8 +208,9 @@ pub(crate) fn compact_target_bytes(byte_budget: usize, retain_fraction: f32) -> 
 }
 
 /// A borrowed view of one automaton's hash tables, shared by the
-/// accounting and compaction passes and the dense-index build (master
-/// automata and the persist reader present themselves this way).
+/// accounting and compaction passes and the dense index's batch build
+/// (master automata and the persist reader present themselves this
+/// way).
 pub(crate) struct TableView<'a> {
     pub states: &'a [Arc<StateData>],
     pub projections: &'a [Arc<StateData>],
@@ -234,7 +235,9 @@ pub(crate) struct TableCounts {
 
 /// Accounted bytes of a full table set, including the dense warm-path
 /// index these tables imply (a pure function of the entry counts — no
-/// index is materialized here).
+/// index is materialized here). For tables without an index of their
+/// own: a parsed table file, or the pre-compaction tables; a master
+/// reads the same numbers off its live index.
 pub(crate) fn account_tables(view: &TableView<'_>) -> ComponentBytes {
     let counts = TableCounts {
         transitions: view.transitions.len(),
@@ -242,14 +245,8 @@ pub(crate) fn account_tables(view: &TableView<'_>) -> ComponentBytes {
         signatures: view.signatures.len(),
         sig_cost_words: view.signatures.iter().map(|s| s.len()).sum(),
     };
-    let dense_shape = dense::shape_of(
-        view.transitions.keys().map(|k| k.op),
-        counts.cached_projections,
-        view.states.iter(),
-        counts.signatures,
-        counts.sig_cost_words,
-    );
-    component_bytes(view.states, view.projections, counts, dense_shape.bytes())
+    let dense_index = dense::shape_of(view).bytes();
+    component_bytes(view.states, view.projections, counts, dense_index)
 }
 
 /// Accounted bytes from the state arenas, the entry counts and the

@@ -25,6 +25,7 @@ use odburg_ir::{Forest, NodeId, Op};
 
 use crate::compute::compute_state;
 use crate::counters::WorkCounters;
+use crate::dense::DenseIndex;
 use crate::fxhash::FxHashMap;
 use crate::govern::{self, CompactionStats, ComponentBytes};
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
@@ -218,6 +219,11 @@ pub struct OnDemandAutomaton {
     /// the grammar alone, built once and shared with every published
     /// snapshot.
     dyn_eval: Arc<DynEvalTable>,
+    /// The live dense index over the tables above, grown with every
+    /// memoized entry. Its regions are shared with the snapshots this
+    /// automaton published until the next write to them (see
+    /// [`crate::dense`]).
+    dense: DenseIndex,
 }
 
 /// One memoized transition in raw `(op, kids, sig)` form, for
@@ -268,12 +274,15 @@ impl OnDemandAutomaton {
             FxHashMap::default(),
             SignatureInterner::new(),
             dyn_eval,
+            None,
         )
     }
 
     /// Assembles a master from tables whose ids already agree with each
     /// other (a parsed table file, or a snapshot's enumerated index),
-    /// starting at `epoch` with fresh counters and no heat.
+    /// starting at `epoch` with fresh counters and no heat. `dense` is
+    /// the index over exactly these tables when the caller has one (a
+    /// snapshot's); `None` builds it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_tables(
         grammar: Arc<NormalGrammar>,
@@ -285,7 +294,19 @@ impl OnDemandAutomaton {
         projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
         signatures: SignatureInterner,
         dyn_eval: Arc<DynEvalTable>,
+        dense: Option<DenseIndex>,
     ) -> Self {
+        let dense = dense.unwrap_or_else(|| {
+            let view = govern::TableView {
+                states: &states,
+                projections: &projections,
+                transitions: &transitions,
+                projection_cache: &projection_cache,
+                signatures: &signatures,
+                project_children: config.project_children,
+            };
+            DenseIndex::build(&view, |op| dyn_eval.sig_static(op))
+        });
         OnDemandAutomaton {
             grammar,
             config,
@@ -300,6 +321,7 @@ impl OnDemandAutomaton {
             flushes: 0,
             compactions: 0,
             dyn_eval,
+            dense,
         }
     }
 
@@ -313,6 +335,7 @@ impl OnDemandAutomaton {
         self.transitions = FxHashMap::default();
         self.projection_cache = FxHashMap::default();
         self.signatures = SignatureInterner::new();
+        self.dense = DenseIndex::default();
         self.heat.clear();
         self.epoch += 1;
         self.flushes += 1;
@@ -336,25 +359,51 @@ impl OnDemandAutomaton {
     /// Freezes the automaton's current tables into an immutable
     /// [`AutomatonSnapshot`].
     ///
-    /// The snapshot shares the state data by reference count and builds
-    /// its dense index from the transition table, projection cache and
-    /// signature interner; no hash map is copied. Publication cost is
-    /// therefore proportional to table *size*, paid only when the
-    /// automaton grew — never on the warm path.
+    /// The master grows its dense index as it memoizes, so the snapshot
+    /// builds nothing: it shares the state data and every index region
+    /// by reference count and copies only the per-state rule rows. No
+    /// hash map is copied and no region is rebuilt. Publication cost is
+    /// therefore proportional to the number of operators and states,
+    /// not to the number of transitions; the regions the master writes
+    /// to afterwards are copied on that first write, so the price of a
+    /// publication shows up as O(growth) on the grow path.
     pub fn snapshot(&self) -> AutomatonSnapshot {
+        self.snapshot_with(self.dense.clone())
+    }
+
+    /// Like [`snapshot`](Self::snapshot), but with a dense index built
+    /// from scratch over the hash tables — the batch build import and
+    /// compaction use — instead of the live index the master grows.
+    /// O(transitions); for diagnostics and the dense-index differential
+    /// tests, which hold every publication against it.
+    pub fn snapshot_rebuilt(&self) -> AutomatonSnapshot {
+        self.snapshot_with(self.build_index())
+    }
+
+    fn snapshot_with(&self, dense: DenseIndex) -> AutomatonSnapshot {
         AutomatonSnapshot::new(
             self.epoch(),
             Arc::clone(&self.grammar),
             self.config,
-            &self.table_view(),
+            self.states.arena().to_vec(),
+            self.projections.arena().to_vec(),
+            dense,
             Arc::clone(&self.dyn_eval),
         )
     }
 
+    /// A from-scratch dense index over the current hash tables.
+    fn build_index(&self) -> DenseIndex {
+        let dyn_eval = &self.dyn_eval;
+        DenseIndex::build(&self.table_view(), |op| dyn_eval.sig_static(op))
+    }
+
     /// Reconstructs a mutable master automaton from a snapshot — the
-    /// warm-start and replica-install path. The hash tables are rebuilt
-    /// from the snapshot's dense index, with signatures re-interned in
-    /// id order so every id is preserved. The returned automaton labels
+    /// warm-start and replica-install path. The master shares the
+    /// snapshot's dense index (its regions are copied on the master's
+    /// first write to each); only the hash tables are rebuilt from it,
+    /// with signatures re-interned in id order so every id is
+    /// preserved. The returned automaton labels
     /// everything the snapshot has seen without a single memo miss and
     /// grows from there; its epoch continues from the snapshot's.
     ///
@@ -387,6 +436,7 @@ impl OnDemandAutomaton {
             projection_cache,
             signatures,
             Arc::clone(snapshot.dyn_eval()),
+            Some(dense.clone()),
         )
     }
 
@@ -414,8 +464,19 @@ impl OnDemandAutomaton {
     /// ([`SnapshotStats::bytes`](crate::SnapshotStats::bytes)) and
     /// persisted table files
     /// ([`persist::inspect_tables`](crate::persist::inspect_tables)).
+    ///
+    /// Computed from the live dense index's per-region entry counts and
+    /// sizes plus the state arenas — O(ops + states), never a sweep of
+    /// the transition table.
     pub fn accounted_bytes(&self) -> ComponentBytes {
-        govern::account_tables(&self.table_view())
+        let bytes = govern::component_bytes(
+            self.states.arena(),
+            self.projections.arena(),
+            self.dense.counts(),
+            self.dense.byte_size(),
+        );
+        debug_assert_eq!(bytes, govern::account_tables(&self.table_view()));
+        bytes
     }
 
     fn table_view(&self) -> govern::TableView<'_> {
@@ -455,6 +516,7 @@ impl OnDemandAutomaton {
         self.projection_cache = compacted.projection_cache;
         self.signatures = compacted.signatures;
         self.heat = compacted.heat;
+        self.dense = self.build_index();
         self.epoch += 1;
         self.compactions += 1;
         self.counters.compactions += 1;
@@ -602,10 +664,15 @@ impl OnDemandAutomaton {
             return Ok(state);
         }
 
-        // 3. The slow path: compute, intern, memoize.
+        // 3. The slow path: compute, intern, memoize — in the hash table
+        //    and in the live dense index the next snapshot shares.
         self.counters.memo_misses += 1;
         let state = self.build_state(op, &key, kid_states, &dyn_rules)?;
         self.transitions.insert(key, state);
+        let dead = self.states.get(state).is_dead();
+        let dyn_eval = &self.dyn_eval;
+        self.dense
+            .insert_transition(&key, state, dead, |op| dyn_eval.sig_static(op));
         self.touch(state);
         Ok(state)
     }
@@ -657,7 +724,13 @@ impl OnDemandAutomaton {
             costs.push(c);
         }
         self.counters.hash_lookups += 1;
-        (self.signatures.intern(&costs), pairs)
+        let known = self.signatures.len();
+        let sig = self.signatures.intern(&costs);
+        if self.signatures.len() > known {
+            let indexed = self.dense.insert_signature(&costs);
+            debug_assert_eq!(indexed, sig, "index and interner assign the same ids");
+        }
+        (sig, pairs)
     }
 
     fn project_child(&mut self, op: Op, pos: usize, kid: StateId) -> StateId {
@@ -672,6 +745,7 @@ impl OnDemandAutomaton {
             .project(self.grammar.operand_nts(op, pos));
         let (pid, _) = self.projections.intern(projected);
         self.projection_cache.insert(cache_key, pid);
+        self.dense.insert_projection(kid, op.id().0, pos as u8, pid);
         pid
     }
 
@@ -701,6 +775,7 @@ impl OnDemandAutomaton {
         let state = compute_state(&self.grammar, op, &kid_data, dyn_cost, &mut self.counters);
         let (id, new) = self.states.intern(state);
         if new {
+            self.dense.push_state(self.states.get(id));
             self.counters.states_built += 1;
             if self.states.len() > self.config.state_budget {
                 return Err(LabelError::StateBudgetExceeded {

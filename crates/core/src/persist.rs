@@ -72,10 +72,10 @@
 //! through the snapshot itself).
 //!
 //! The dense warm-path index (see `dense.rs`) is **not** part of this
-//! format and never will be: it is a pure function of the tables, built
-//! from the parsed hash tables at import exactly as a publication builds
-//! it from the master's — which is why [`FORMAT_VERSION`] stays at 2
-//! even though snapshots keep only the index. Its accounted bytes
+//! format and never will be: it holds exactly the tables' entries, and
+//! import builds it from the parsed hash tables with the same inserts a
+//! master grows its own with — which is why [`FORMAT_VERSION`] stays at
+//! 2 even though snapshots keep only the index. Its accounted bytes
 //! ([`ComponentBytes::dense_index`]) *are* reported by
 //! [`inspect_tables`], computed from the entry counts, so `tables
 //! stats` shows the footprint an import will actually have.
@@ -86,6 +86,7 @@ use std::sync::Arc;
 
 use odburg_grammar::{Cost, NormalGrammar, RuleCost};
 
+use crate::dense::DenseIndex;
 use crate::fxhash::FxHashMap;
 use crate::govern::{self, ComponentBytes, TableView};
 use crate::ondemand::{BudgetPolicy, OnDemandAutomaton, OnDemandConfig};
@@ -227,13 +228,16 @@ impl Enc {
     }
 }
 
-/// Serializes a snapshot's tables into `writer`; see the
-/// [module docs](self) for the format.
+/// Streams a snapshot's tables to any [`Write`] sink; see the
+/// [module docs](self) for the format. This is the single serialization
+/// entry point: the file path ([`save_tables`]) and the cluster
+/// table-shipping path both produce bytes through it, so a shipped
+/// snapshot is bit-identical to a file export of the same snapshot.
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] if writing fails.
-pub fn export_snapshot<W: Write>(
+pub fn write_tables_to<W: Write>(
     snapshot: &AutomatonSnapshot,
     mut writer: W,
 ) -> Result<(), PersistError> {
@@ -359,7 +363,7 @@ impl<'a> Dec<'a> {
         }
     }
     /// Decodes one state. Rule ids are range-checked later, against the
-    /// grammar, by [`read_validated`]; [`inspect_snapshot`] has no
+    /// grammar, by [`VerifiedTables`]; [`inspect_snapshot`] has no
     /// grammar to check them against.
     fn state(&mut self) -> Result<StateData, PersistError> {
         let slots = self.count("state slot", 8)?;
@@ -379,12 +383,51 @@ impl<'a> Dec<'a> {
             rules.into_boxed_slice(),
         ))
     }
+
+    /// Decodes `count` states; full states must have `fixed_slots`
+    /// slots each.
+    fn arena(
+        &mut self,
+        name: &str,
+        count: usize,
+        fixed_slots: Option<usize>,
+    ) -> Result<Vec<Arc<StateData>>, PersistError> {
+        let mut arena = Vec::with_capacity(count);
+        for _ in 0..count {
+            let state = self.state()?;
+            if let Some(n) = fixed_slots.filter(|&n| state.len() != n) {
+                return Err(PersistError::Malformed(format!(
+                    "{name} has {} slots, expected {n}",
+                    state.len()
+                )));
+            }
+            arena.push(Arc::new(state));
+        }
+        Ok(arena)
+    }
+}
+
+/// The payload up to and including the state count: identity,
+/// configuration, epoch and the signature section. It is all the
+/// `(epoch, states)` install fence of a replica needs, so a shipment
+/// the fence refuses never has its tables parsed.
+struct Prefix {
+    fingerprint: u64,
+    config: OnDemandConfig,
+    epoch: u64,
+    num_nts: usize,
+    signatures: SignatureInterner,
+    /// Declared size of the state arena.
+    states: usize,
+    /// Payload offset of the first state.
+    body: usize,
 }
 
 /// The decoded, structurally validated contents of a table file —
 /// everything checkable without the grammar. Grammar-dependent checks
-/// (fingerprint, rule-id ranges, nonterminal count) happen in
-/// [`read_validated`]; [`inspect_tables`] stops here.
+/// (fingerprint, nonterminal count, rule-id ranges) happen in
+/// [`verify_tables_from`] and [`VerifiedTables`]; [`inspect_tables`]
+/// stops here.
 struct RawTables {
     fingerprint: u64,
     config: OnDemandConfig,
@@ -442,9 +485,8 @@ fn read_payload<R: Read>(mut reader: R) -> Result<Vec<u8>, PersistError> {
     Ok(payload)
 }
 
-/// Decodes a verified payload, enforcing every internal-consistency
-/// invariant that does not need the grammar.
-fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
+/// Decodes a verified payload's [`Prefix`].
+fn parse_prefix(payload: &[u8]) -> Result<Prefix, PersistError> {
     let mut d = Dec {
         buf: payload,
         pos: 0,
@@ -518,28 +560,34 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
             )));
         }
     }
+    let states = d.count("state", 4)?;
 
-    let mut arenas: Vec<Vec<Arc<StateData>>> = Vec::with_capacity(2);
-    for (name, fixed_slots) in [("state", Some(num_nts)), ("projection", None)] {
-        let count = d.count(name, 4)?;
-        let mut arena = Vec::with_capacity(count);
-        for _ in 0..count {
-            let state = d.state()?;
-            if fixed_slots.is_some_and(|n| state.len() != n) {
-                return Err(PersistError::Malformed(format!(
-                    "{name} has {} slots, expected {num_nts}",
-                    state.len()
-                )));
-            }
-            arena.push(Arc::new(state));
-        }
-        arenas.push(arena);
-    }
-    let projections = arenas.pop().expect("two arenas");
-    let states = arenas.pop().expect("two arenas");
+    Ok(Prefix {
+        fingerprint,
+        config,
+        epoch,
+        num_nts,
+        signatures,
+        states,
+        body: d.pos,
+    })
+}
+
+/// Decodes the rest of a verified payload after its [`Prefix`],
+/// enforcing every internal-consistency invariant that does not need
+/// the grammar.
+fn parse_body(payload: &[u8], prefix: Prefix) -> Result<RawTables, PersistError> {
+    let mut d = Dec {
+        buf: payload,
+        pos: prefix.body,
+    };
+    let states = d.arena("state", prefix.states, Some(prefix.num_nts))?;
+    let count = d.count("projection", 4)?;
+    let projections = d.arena("projection", count, None)?;
+    let num_sigs = prefix.signatures.len();
     // In projection mode transition keys reference the projection arena,
     // otherwise the state arena.
-    let kid_arena_len = if project_children {
+    let kid_arena_len = if prefix.config.project_children {
         projections.len()
     } else {
         states.len()
@@ -616,11 +664,11 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     }
 
     Ok(RawTables {
-        fingerprint,
-        config,
-        epoch,
-        num_nts,
-        signatures,
+        fingerprint: prefix.fingerprint,
+        config: prefix.config,
+        epoch: prefix.epoch,
+        num_nts: prefix.num_nts,
+        signatures: prefix.signatures,
         states,
         projections,
         transitions,
@@ -628,58 +676,151 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     })
 }
 
-/// Reads a table file and validates it against the grammar and
-/// configuration the importing automaton will run with.
-fn read_validated<R: Read>(
-    reader: R,
-    grammar: &NormalGrammar,
-    expected: OnDemandConfig,
-) -> Result<RawTables, PersistError> {
-    let payload = read_payload(reader)?;
-    let raw = parse_payload(&payload)?;
+/// A table stream whose header, checksum, grammar fingerprint,
+/// configuration and nonterminal count are verified and whose payload
+/// is decoded only up to the state count (see [`verify_tables_from`]).
+/// It names the tables it holds — [`epoch`](Self::epoch) and
+/// [`states`](Self::states), the key a replica's install fence
+/// compares — before the caller pays for parsing them with
+/// [`into_snapshot`](Self::into_snapshot).
+pub struct VerifiedTables {
+    payload: Vec<u8>,
+    prefix: Prefix,
+    grammar: Arc<NormalGrammar>,
+}
 
+impl std::fmt::Debug for VerifiedTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VerifiedTables")
+            .field("epoch", &self.prefix.epoch)
+            .field("states", &self.prefix.states)
+            .field("payload_bytes", &self.payload.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl VerifiedTables {
+    /// The epoch the tables were exported in.
+    pub fn epoch(&self) -> u64 {
+        self.prefix.epoch
+    }
+
+    /// The number of states in the tables' arena.
+    pub fn states(&self) -> usize {
+        self.prefix.states
+    }
+
+    /// Parses the tables and builds the snapshot's dense index.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Malformed`] for internally inconsistent tables.
+    pub fn into_snapshot(self) -> Result<AutomatonSnapshot, PersistError> {
+        let grammar = Arc::clone(&self.grammar);
+        let raw = self.parse()?;
+        let dyn_eval = Arc::new(DynEvalTable::build(&grammar));
+        let dense = DenseIndex::build(&raw.view(), |op| dyn_eval.sig_static(op));
+        Ok(AutomatonSnapshot::new(
+            raw.epoch,
+            grammar,
+            raw.config,
+            raw.states,
+            raw.projections,
+            dense,
+            dyn_eval,
+        ))
+    }
+
+    /// Parses the rest of the payload and range-checks every state's
+    /// rule ids against the grammar.
+    fn parse(self) -> Result<RawTables, PersistError> {
+        let raw = parse_body(&self.payload, self.prefix)?;
+        let num_rules = self.grammar.rules().len() as u32;
+        for (name, arena) in [("state", &raw.states), ("projection", &raw.projections)] {
+            for state in arena {
+                let (_, rules) = state.raw_parts();
+                if let Some(&rule) = rules.iter().find(|&&r| r != u32::MAX && r >= num_rules) {
+                    return Err(PersistError::Malformed(format!(
+                        "{name} references rule {rule} of {num_rules}"
+                    )));
+                }
+            }
+        }
+        Ok(raw)
+    }
+}
+
+/// Reads a table stream and verifies everything that can be checked
+/// before the tables are parsed: header and checksum, then the grammar
+/// fingerprint, the configuration and the nonterminal count against
+/// the grammar and configuration the importing automaton will run with.
+/// [`read_tables_from`] is this plus
+/// [`VerifiedTables::into_snapshot`]; a cluster replica calls the two
+/// halves separately so that its install fence can refuse stale tables
+/// in between.
+///
+/// # Errors
+///
+/// See the integrity discussion in the [module docs](self).
+pub fn verify_tables_from<R: Read>(
+    reader: R,
+    grammar: Arc<NormalGrammar>,
+    expected: OnDemandConfig,
+) -> Result<VerifiedTables, PersistError> {
+    let payload = read_payload(reader)?;
+    let prefix = parse_prefix(&payload)?;
     let expected_fp = grammar.fingerprint();
-    if raw.fingerprint != expected_fp {
+    if prefix.fingerprint != expected_fp {
         return Err(PersistError::GrammarMismatch {
             expected: expected_fp,
-            found: raw.fingerprint,
+            found: prefix.fingerprint,
         });
     }
-    if raw.config != expected {
+    if prefix.config != expected {
         return Err(PersistError::ConfigMismatch {
             expected,
-            found: raw.config,
+            found: prefix.config,
         });
     }
-    if raw.num_nts != grammar.num_nts() {
+    if prefix.num_nts != grammar.num_nts() {
         return Err(PersistError::Malformed(format!(
             "tables carry {} nonterminals, grammar has {}",
-            raw.num_nts,
+            prefix.num_nts,
             grammar.num_nts()
         )));
     }
-    let num_rules = grammar.rules().len() as u32;
-    for (name, arena) in [("state", &raw.states), ("projection", &raw.projections)] {
-        for state in arena {
-            let (_, rules) = state.raw_parts();
-            if let Some(&rule) = rules.iter().find(|&&r| r != u32::MAX && r >= num_rules) {
-                return Err(PersistError::Malformed(format!(
-                    "{name} references rule {rule} of {num_rules}"
-                )));
-            }
-        }
-    }
-
-    Ok(raw)
+    Ok(VerifiedTables {
+        payload,
+        prefix,
+        grammar,
+    })
 }
 
-/// Deserializes tables exported by [`export_snapshot`] straight into a
-/// mutable master automaton, validating them against the grammar and
-/// configuration it will run with. The parsed hash tables become the
-/// master's own, so a warm start parses the file once and builds one
-/// dense index — at its first
-/// [`snapshot`](OnDemandAutomaton::snapshot), e.g. in
-/// [`SharedOnDemand::new`](crate::SharedOnDemand::new).
+/// Reads tables written by [`write_tables_to`] from any [`Read`]
+/// source into a snapshot, validating them against the grammar and
+/// configuration the importing automaton will run with. The parsed
+/// hash tables are read once to build the snapshot's dense index and
+/// then dropped. The file path ([`load_tables`]) and the cluster
+/// table-shipping path both consume bytes through it.
+///
+/// # Errors
+///
+/// See the integrity discussion in the [module docs](self).
+pub fn read_tables_from<R: Read>(
+    reader: R,
+    grammar: Arc<NormalGrammar>,
+    expected: OnDemandConfig,
+) -> Result<AutomatonSnapshot, PersistError> {
+    verify_tables_from(reader, grammar, expected)?.into_snapshot()
+}
+
+/// Reads tables written by [`write_tables_to`] straight into a mutable
+/// master automaton, validating them exactly as [`read_tables_from`]
+/// does. The parsed hash tables become the master's own and its dense
+/// index is built once over them, so a warm start parses the file once
+/// and builds one index; the master's first
+/// [`snapshot`](OnDemandAutomaton::snapshot) (e.g. in
+/// [`SharedOnDemand::new`](crate::SharedOnDemand::new)) shares it.
 ///
 /// # Errors
 ///
@@ -689,7 +830,7 @@ pub fn import_automaton<R: Read>(
     grammar: Arc<NormalGrammar>,
     expected: OnDemandConfig,
 ) -> Result<OnDemandAutomaton, PersistError> {
-    let raw = read_validated(reader, &grammar, expected)?;
+    let raw = verify_tables_from(reader, Arc::clone(&grammar), expected)?.parse()?;
     let dyn_eval = Arc::new(DynEvalTable::build(&grammar));
     Ok(OnDemandAutomaton::from_tables(
         grammar,
@@ -701,30 +842,7 @@ pub fn import_automaton<R: Read>(
         raw.projection_cache,
         raw.signatures,
         dyn_eval,
-    ))
-}
-
-/// Deserializes tables exported by [`export_snapshot`] into a snapshot,
-/// validating them exactly as [`import_automaton`] does. The parsed
-/// hash tables are read once to build the snapshot's dense index and
-/// then dropped.
-///
-/// # Errors
-///
-/// See the integrity discussion in the [module docs](self).
-pub fn import_snapshot<R: Read>(
-    reader: R,
-    grammar: Arc<NormalGrammar>,
-    expected: OnDemandConfig,
-) -> Result<AutomatonSnapshot, PersistError> {
-    let raw = read_validated(reader, &grammar, expected)?;
-    let dyn_eval = Arc::new(DynEvalTable::build(&grammar));
-    Ok(AutomatonSnapshot::new(
-        raw.epoch,
-        grammar,
-        raw.config,
-        &raw.view(),
-        dyn_eval,
+        None,
     ))
 }
 
@@ -768,10 +886,10 @@ pub struct TableFileInfo {
 /// # Errors
 ///
 /// [`PersistError`] for unreadable, truncated, corrupted or malformed
-/// files, exactly as [`import_snapshot`] would report them.
+/// files, exactly as [`read_tables_from`] would report them.
 pub fn inspect_snapshot<R: Read>(reader: R) -> Result<TableFileInfo, PersistError> {
     let payload = read_payload(reader)?;
-    let raw = parse_payload(&payload)?;
+    let raw = parse_body(&payload, parse_prefix(&payload)?)?;
     let bytes = govern::account_tables(&raw.view());
     Ok(TableFileInfo {
         fingerprint: raw.fingerprint,
@@ -809,40 +927,6 @@ fn read_exact_or_truncated<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<()
     })
 }
 
-// ------------------------------------------------- streaming entry points
-
-/// Streams a snapshot's tables to any [`Write`] sink. This is the single
-/// serialization entry point: the file path ([`save_tables`]) and the
-/// cluster table-shipping path both produce bytes through it, so a
-/// shipped snapshot is bit-identical to a file export of the same
-/// snapshot.
-///
-/// # Errors
-///
-/// [`PersistError::Io`] if writing fails.
-pub fn write_tables_to<W: Write>(
-    snapshot: &AutomatonSnapshot,
-    writer: W,
-) -> Result<(), PersistError> {
-    export_snapshot(snapshot, writer)
-}
-
-/// Reads tables from any [`Read`] source, validating them against the
-/// grammar and configuration the importing automaton will run with.
-/// Counterpart of [`write_tables_to`]; the file path ([`load_tables`])
-/// and the cluster table-shipping path both consume bytes through it.
-///
-/// # Errors
-///
-/// See [`import_snapshot`].
-pub fn read_tables_from<R: Read>(
-    reader: R,
-    grammar: Arc<NormalGrammar>,
-    expected: OnDemandConfig,
-) -> Result<AutomatonSnapshot, PersistError> {
-    import_snapshot(reader, grammar, expected)
-}
-
 // ------------------------------------------------------------ file paths
 
 /// Exports a snapshot to a file; see [`write_tables_to`].
@@ -859,7 +943,7 @@ pub fn save_tables(snapshot: &AutomatonSnapshot, path: &Path) -> Result<(), Pers
 ///
 /// # Errors
 ///
-/// See [`import_snapshot`], plus [`PersistError::Io`] if the file cannot
+/// See [`read_tables_from`], plus [`PersistError::Io`] if the file cannot
 /// be opened.
 pub fn load_tables(
     path: &Path,
@@ -906,8 +990,8 @@ mod tests {
     fn round_trip(auto: &OnDemandAutomaton) -> AutomatonSnapshot {
         let snap = auto.snapshot();
         let mut bytes = Vec::new();
-        export_snapshot(&snap, &mut bytes).unwrap();
-        import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap()
+        write_tables_to(&snap, &mut bytes).unwrap();
+        read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap()
     }
 
     #[test]
@@ -932,8 +1016,8 @@ mod tests {
         let snap = auto.snapshot();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        export_snapshot(&snap, &mut a).unwrap();
-        export_snapshot(&snap, &mut b).unwrap();
+        write_tables_to(&snap, &mut a).unwrap();
+        write_tables_to(&snap, &mut b).unwrap();
         assert_eq!(a, b);
     }
 
@@ -965,8 +1049,8 @@ mod tests {
         auto.label_forest(&f).unwrap();
 
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
-        let imported = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), config).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
+        let imported = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), config).unwrap();
         assert_eq!(imported.config(), config);
         // And a different compact budget is a config mismatch, not a
         // silent acceptance.
@@ -977,7 +1061,7 @@ mod tests {
             },
             ..OnDemandConfig::default()
         };
-        let err = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
+        let err = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
         assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
     }
 
@@ -986,7 +1070,7 @@ mod tests {
         let (auto, _) = warmed();
         let snap = auto.snapshot();
         let mut bytes = Vec::new();
-        export_snapshot(&snap, &mut bytes).unwrap();
+        write_tables_to(&snap, &mut bytes).unwrap();
         let info = inspect_snapshot(&bytes[..]).unwrap();
         let stats = snap.stats();
         assert_eq!(info.fingerprint, auto.grammar().fingerprint());
@@ -1009,7 +1093,7 @@ mod tests {
         ));
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x40;
@@ -1027,11 +1111,11 @@ mod tests {
     fn wrong_grammar_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let other = parse_grammar("%start reg\nreg: ConstI8 (2)\n")
             .unwrap()
             .normalize();
-        let err = import_snapshot(&bytes[..], Arc::new(other), auto.config()).unwrap_err();
+        let err = read_tables_from(&bytes[..], Arc::new(other), auto.config()).unwrap_err();
         assert!(matches!(err, PersistError::GrammarMismatch { .. }), "{err}");
     }
 
@@ -1039,12 +1123,12 @@ mod tests {
     fn wrong_config_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let projected = OnDemandConfig {
             project_children: true,
             ..auto.config()
         };
-        let err = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), projected).unwrap_err();
+        let err = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), projected).unwrap_err();
         assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
     }
 
@@ -1052,10 +1136,10 @@ mod tests {
     fn truncation_and_corruption_are_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let grammar = Arc::clone(auto.grammar());
         for cut in [0, 3, 10, 24, bytes.len() / 2, bytes.len() - 1] {
-            let err = import_snapshot(&bytes[..cut], Arc::clone(&grammar), auto.config())
+            let err = read_tables_from(&bytes[..cut], Arc::clone(&grammar), auto.config())
                 .expect_err("truncated file must be rejected");
             assert!(
                 matches!(err, PersistError::Truncated | PersistError::BadMagic),
@@ -1066,7 +1150,7 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x40;
             assert!(
-                import_snapshot(&corrupt[..], Arc::clone(&grammar), auto.config()).is_err(),
+                read_tables_from(&corrupt[..], Arc::clone(&grammar), auto.config()).is_err(),
                 "bit flip at byte {i} must be detected"
             );
         }
@@ -1075,7 +1159,7 @@ mod tests {
     #[test]
     fn not_a_table_file_is_rejected() {
         let (auto, _) = warmed();
-        let err = import_snapshot(
+        let err = read_tables_from(
             &b"%start reg\nreg: ConstI8 (1)\n"[..],
             Arc::clone(auto.grammar()),
             auto.config(),
@@ -1088,10 +1172,10 @@ mod tests {
     fn future_version_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         let err =
-            import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
+            read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
         assert!(
             matches!(err, PersistError::UnsupportedVersion { .. }),
             "{err}"

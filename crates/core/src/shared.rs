@@ -431,26 +431,15 @@ impl SharedOnDemand {
                 found: snapshot.config(),
             });
         }
-        let fence = |cur: &AutomatonSnapshot| {
-            let current_key = (cur.epoch(), cur.states_arena().len());
-            let shipped_key = (snapshot.epoch(), snapshot.states_arena().len());
-            if shipped_key <= current_key {
-                Err(InstallError::Stale {
-                    current: current_key,
-                    shipped: shipped_key,
-                })
-            } else {
-                Ok(())
-            }
-        };
+        let shipped = (snapshot.epoch(), snapshot.states_arena().len());
         // Cheap pre-check before contending on the writer lock...
-        fence(&current)?;
+        fence(&current, shipped)?;
         drop(current);
 
         let mut master = self.writer.lock();
         // ...re-checked under it: a concurrent grow or install may have
         // published newer tables while we waited.
-        fence(&self.current.load())?;
+        fence(&self.current.load(), shipped)?;
         *master = OnDemandAutomaton::from_snapshot(&snapshot);
         let epoch = snapshot.epoch();
         self.current.store(snapshot);
@@ -458,6 +447,20 @@ impl SharedOnDemand {
             scope.emit(crate::telemetry::EventKind::EpochPublish, epoch);
         }
         Ok(epoch)
+    }
+
+    /// The install fence alone: `Ok` when tables keyed `shipped =
+    /// (epoch, states)` are strictly newer than the published snapshot,
+    /// [`InstallError::Stale`] otherwise. A replica applies it to a
+    /// shipment's header before parsing the tables, so refused
+    /// shipments cost no import; [`install_snapshot`](Self::install_snapshot)
+    /// re-checks under the writer lock.
+    ///
+    /// # Errors
+    ///
+    /// [`InstallError::Stale`] when the shipped key is not newer.
+    pub fn check_newer(&self, shipped: (u64, usize)) -> Result<(), InstallError> {
+        fence(&self.current.load(), shipped)
     }
 
     /// The published snapshot's heat counters, when they still describe
@@ -583,6 +586,16 @@ impl SharedOnDemand {
     /// Consumes the wrapper and returns the master automaton.
     pub fn into_inner(self) -> OnDemandAutomaton {
         self.writer.into_inner()
+    }
+}
+
+/// The `(epoch, states)` install fence against the snapshot `current`.
+fn fence(current: &AutomatonSnapshot, shipped: (u64, usize)) -> Result<(), InstallError> {
+    let current = (current.epoch(), current.states_arena().len());
+    if shipped <= current {
+        Err(InstallError::Stale { current, shipped })
+    } else {
+        Ok(())
     }
 }
 

@@ -4,10 +4,12 @@
 //! separates the automaton into two halves:
 //!
 //! * an **immutable snapshot** (this module): the state arenas plus one
-//!   [dense index](crate::dense) built from the master's transition
-//!   table, projection cache and signature interner, frozen at a point
-//!   in time and published behind an atomically swappable pointer. The
-//!   index is the snapshot's only copy of those tables. Reader threads
+//!   [dense index](crate::dense) over the master's transition table,
+//!   projection cache and signature interner, frozen at a point in time
+//!   and published behind an atomically swappable pointer. The index is
+//!   the snapshot's only copy of those tables; it shares every region
+//!   the master has not written to since, so publishing one costs the
+//!   number of operators and states, not of transitions. Reader threads
 //!   label whole forests against a snapshot with *zero* locks and zero
 //!   shared-memory writes — every operation is a read of immutable
 //!   data;
@@ -32,7 +34,7 @@ use odburg_ir::{Forest, NodeId, Op, OpId, NUM_OPS};
 
 use crate::counters::WorkCounters;
 use crate::dense::{self, DenseIndex};
-use crate::govern::{self, ComponentBytes, TableView};
+use crate::govern::{self, ComponentBytes};
 use crate::label::StateLookup;
 use crate::ondemand::OnDemandConfig;
 use crate::signature::SigId;
@@ -104,12 +106,12 @@ pub struct AutomatonSnapshot {
     /// consistently — so it is part of the snapshot and of the persisted
     /// format.
     projections: Vec<Arc<StateData>>,
-    /// The dense warm-path index (see [`crate::dense`]): flat
-    /// per-operator transition slots, a flat projection table, the
-    /// signature table and structure-of-arrays state facts, built from
-    /// the master's hash tables at construction. It is the snapshot's
-    /// only copy of the transitions, projections and signatures. Never
-    /// serialized — rebuilt at every publication and at
+    /// The dense warm-path index (see [`crate::dense`]): per-operator
+    /// transition regions, the projection table, the signature table
+    /// and structure-of-arrays state facts. It is the snapshot's only
+    /// copy of the transitions, projections and signatures, and shares
+    /// every region the master has not written to since this snapshot
+    /// was published. Never serialized — built at
     /// [`persist`](crate::persist) import.
     dense: DenseIndex,
     /// Per-state touch counters for this epoch, bumped (relaxed) by the
@@ -171,6 +173,16 @@ impl DynEvalTable {
         }
     }
 
+    /// Whether a node with operator `op` provably has the empty
+    /// dynamic-cost signature: the grammar has no dynamic chain rules
+    /// and no dynamic base rules for the op. Carried into the dense
+    /// index's regions as their static-signature bit.
+    pub(crate) fn sig_static(&self, op: u16) -> bool {
+        self.chains.is_empty()
+            && Op::from_id(OpId(op)).is_some()
+            && self.base.get(op as usize).is_some_and(|b| b.is_empty())
+    }
+
     /// Evaluates the dynamic-cost rules applicable at `node` into
     /// `scratch`, returning `false` when there are none — the node's
     /// signature is statically [`SigId::EMPTY`]. The warm walk then
@@ -221,42 +233,25 @@ pub struct WarmWalk {
 }
 
 impl AutomatonSnapshot {
-    /// Freezes `tables` (borrowed from a master or a freshly parsed
-    /// table file) into a snapshot: the arenas are shared by reference
-    /// count and the hash tables are read once to build the dense index
-    /// — no hash map is copied.
+    /// Assembles a snapshot from state arenas and the dense index over
+    /// the same tables (a master's clone of its live index at
+    /// publication, or an index built over freshly parsed tables).
     pub(crate) fn new(
         epoch: u64,
         grammar: Arc<NormalGrammar>,
         config: OnDemandConfig,
-        tables: &TableView<'_>,
+        states: Vec<Arc<StateData>>,
+        projections: Vec<Arc<StateData>>,
+        dense: DenseIndex,
         dyn_eval: Arc<DynEvalTable>,
     ) -> Self {
-        let heat = (0..tables.states.len())
-            .map(|_| AtomicU32::new(0))
-            .collect();
-        // The dense warm-path index is derived here — publication and
-        // import are the cold paths that pay the build. An operator's
-        // signature is statically empty exactly when the grammar has no
-        // dynamic chain rules and no dynamic base rules for the op.
-        let chains_empty = grammar.dynamic_chain_rules().is_empty();
-        let dense = DenseIndex::build(
-            tables.states,
-            tables.transitions,
-            tables.projection_cache,
-            tables.signatures,
-            |op| {
-                chains_empty
-                    && Op::from_id(OpId(op))
-                        .is_some_and(|o| grammar.dynamic_base_rules(o).is_empty())
-            },
-        );
+        let heat = (0..states.len()).map(|_| AtomicU32::new(0)).collect();
         AutomatonSnapshot {
             epoch,
             grammar,
             config,
-            states: tables.states.to_vec(),
-            projections: tables.projections.to_vec(),
+            states,
+            projections,
             dense,
             heat,
             dyn_eval,

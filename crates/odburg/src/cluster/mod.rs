@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use odburg_core::persist::{read_tables_from, write_tables_to};
+use odburg_core::persist::{verify_tables_from, write_tables_to};
 use odburg_core::telemetry::write_chrome_trace_multi;
 use odburg_core::{Event, EventKind, InstallError, OnDemandConfig, Telemetry};
 use odburg_grammar::{Grammar, NormalGrammar};
@@ -573,15 +573,7 @@ impl ShardCluster {
                 target: target.to_string(),
             })
         })?;
-        let shipment = self.shipment_from(target, lease)?;
-        let snapshot_epoch;
-        {
-            // Decode our own frame once for the report: same validation
-            // path a replica runs.
-            let decoded = Shipment::decode(&shipment.encode())?;
-            debug_assert_eq!(decoded, shipment);
-            snapshot_epoch = odburg_core::persist::inspect_snapshot(&decoded.bytes[..])?.epoch;
-        }
+        let (shipment, snapshot_epoch) = self.shipment_from(target, lease)?;
         let mut report = ShipmentReport {
             target: target.to_string(),
             writer: lease,
@@ -628,10 +620,16 @@ impl ShardCluster {
             })
         })?;
         self.shipment_from(target, lease)
+            .map(|(shipment, _)| shipment)
     }
 
-    /// Serializes the writer's published snapshot under a known lease.
-    fn shipment_from(&self, target: &str, lease: WriterLease) -> Result<Shipment, ShipError> {
+    /// Serializes the writer's published snapshot under a known lease,
+    /// returning the shipment and the exported snapshot's epoch.
+    fn shipment_from(
+        &self,
+        target: &str,
+        lease: WriterLease,
+    ) -> Result<(Shipment, u64), ShipError> {
         let guard = self.shards[lease.shard].server.read().expect("shard lock");
         let server = guard
             .as_ref()
@@ -639,11 +637,12 @@ impl ShardCluster {
         let snapshot = server.shared(target)?.snapshot();
         let mut bytes = Vec::new();
         write_tables_to(&snapshot, &mut bytes)?;
-        Ok(Shipment {
+        let shipment = Shipment {
             target: target.to_string(),
             writer_epoch: lease.epoch,
             bytes,
-        })
+        };
+        Ok((shipment, snapshot.epoch()))
     }
 
     /// Ships every registered target; see
@@ -663,7 +662,10 @@ impl ShardCluster {
     /// epoch. This is where every fence lives, in order: the
     /// writer-lease epoch (zombie broadcast), shard liveness, persist
     /// validation (checksum, grammar fingerprint, configuration), and
-    /// the receiving core's `(epoch, states)` monotonic fence. Public
+    /// the receiving core's `(epoch, states)` monotonic fence, applied
+    /// to the payload's header before the tables are parsed — a
+    /// refused shipment costs no import, and a stale one is refused as
+    /// stale even when its table section would not parse. Public
     /// because the socket serving path ([`SocketTransport`]) and the
     /// differential tests inject frames directly.
     ///
@@ -719,10 +721,12 @@ impl ShardCluster {
                     target: shipment.target.clone(),
                 })
             })?;
-        let snapshot = read_tables_from(&shipment.bytes[..], Arc::clone(&spec.grammar), spec.mode)?;
+        let tables = verify_tables_from(&shipment.bytes[..], Arc::clone(&spec.grammar), spec.mode)?;
         let guard = self.shards[idx].server.read().expect("shard lock");
         let server = guard.as_ref().ok_or(ShipError::ShardDown { shard: idx })?;
         let shared = server.shared(&shipment.target)?;
+        shared.check_newer((tables.epoch(), tables.states()))?;
+        let snapshot = tables.into_snapshot()?;
         Ok(shared.install_snapshot(Arc::new(snapshot))?)
     }
 
@@ -816,7 +820,7 @@ impl ShardCluster {
             if lease.shard == idx || !self.is_alive(lease.shard) {
                 continue;
             }
-            let shipment = self.shipment_from(&target, lease)?;
+            let (shipment, _) = self.shipment_from(&target, lease)?;
             match self.deliver_shipment(idx, &shipment) {
                 Ok(_) => warmed += 1,
                 Err(ShipError::Install(InstallError::Stale { .. })) => {}

@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use odburg::prelude::*;
+use odburg::select::PersistError;
 use odburg::workloads::{builtin_traffic, TrafficJob};
 
 /// The DP oracle's reduction of one job: instructions and total cost
@@ -298,6 +299,84 @@ fn writer_re_election_fences_the_zombie_and_loses_nothing() {
     assert!(report.conserved());
     assert!(report.writer_elections > 6, "re-election not recorded");
     assert!(report.ship_rejects >= 2, "zombie rejections not recorded");
+}
+
+/// Re-seals a table blob after a payload edit: the checksum in header
+/// bytes 16..24 is FNV-1a over the payload that follows the 24-byte
+/// header, so an edited payload still passes the integrity check and
+/// reaches the decoder.
+fn reseal(bytes: &mut [u8]) {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in &bytes[24..] {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    bytes[16..24].copy_from_slice(&h.to_le_bytes());
+}
+
+/// A replica fences a shipment on the `(epoch, states)` key in the
+/// payload's header, after the frame, checksum, fingerprint and
+/// configuration checks but before it parses the tables. So a stale
+/// shipment is refused as stale even when its table section would not
+/// parse, while a newer one with the same defect still fails the parse,
+/// and a stale one under another grammar still fails the fingerprint.
+#[test]
+fn stale_shipments_are_fenced_before_their_tables_are_parsed() {
+    let cluster = small_cluster();
+    let jobs: Vec<_> = builtin_traffic(53, 40)
+        .into_iter()
+        .filter(|j| j.target == "x86ish")
+        .collect();
+    assert!(!jobs.is_empty());
+    let target = "x86ish";
+    for job in &jobs {
+        let sub = cluster.submit(target, job.forest.clone()).unwrap();
+        sub.handle.wait().outcome.as_ref().expect("labels");
+    }
+    let writer = cluster.writer(target).unwrap().shard;
+    let replica = (0..3).find(|&s| s != writer).unwrap();
+
+    // Direct mode caches no projections: the payload ends with a zero
+    // projection-cache count. Declaring one entry that is not there is
+    // a table-section defect behind a valid checksum.
+    let valid = cluster.prepare_shipment(target).unwrap();
+    let mut broken = valid.clone();
+    let n = broken.bytes.len();
+    assert_eq!(broken.bytes[n - 4..], [0, 0, 0, 0]);
+    broken.bytes[n - 4] = 1;
+    reseal(&mut broken.bytes);
+
+    // Newer than the replica's empty tables: the fence passes and the
+    // parse rejects the defect.
+    match cluster.deliver_shipment(replica, &broken) {
+        Err(ShipError::Persist(PersistError::Malformed(_))) => {}
+        other => panic!("newer malformed shipment: {other:?}"),
+    }
+    cluster
+        .deliver_shipment(replica, &valid)
+        .expect("valid shipment installs");
+
+    // Now the replica holds these tables: the same defect is refused as
+    // stale, without parsing.
+    match cluster.deliver_shipment(replica, &broken) {
+        Err(ShipError::Install(InstallError::Stale { current, shipped })) => {
+            assert_eq!(current, shipped);
+        }
+        other => panic!("stale malformed shipment: {other:?}"),
+    }
+
+    // A stale shipment under another grammar still fails the
+    // fingerprint check, which comes before the fence.
+    let mut foreign = valid.clone();
+    foreign.bytes[24] ^= 0x01;
+    reseal(&mut foreign.bytes);
+    match cluster.deliver_shipment(replica, &foreign) {
+        Err(ShipError::Persist(PersistError::GrammarMismatch { .. })) => {}
+        other => panic!("stale foreign shipment: {other:?}"),
+    }
+
+    let report = cluster.shutdown();
+    assert!(report.conserved());
+    assert_eq!(report.shipments, 1);
 }
 
 #[test]

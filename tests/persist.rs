@@ -28,7 +28,7 @@ fn warmed(seed: u64) -> (OnDemandAutomaton, Forest) {
 
 fn exported(auto: &OnDemandAutomaton) -> Vec<u8> {
     let mut bytes = Vec::new();
-    persist::export_snapshot(&auto.snapshot(), &mut bytes).expect("export succeeds");
+    persist::write_tables_to(&auto.snapshot(), &mut bytes).expect("export succeeds");
     bytes
 }
 
@@ -40,7 +40,7 @@ proptest! {
         let (mut auto, forest) = warmed(seed);
         let bytes = exported(&auto);
 
-        let imported = persist::import_snapshot(
+        let imported = persist::read_tables_from(
             &bytes[..],
             Arc::clone(auto.grammar()),
             auto.config(),
@@ -66,7 +66,7 @@ proptest! {
         let (auto, _) = warmed(seed % 4);
         let bytes = exported(&auto);
         let cut = (seed as usize * 131) % bytes.len();
-        let err = persist::import_snapshot(
+        let err = persist::read_tables_from(
             &bytes[..cut],
             Arc::clone(auto.grammar()),
             auto.config(),
@@ -84,7 +84,7 @@ proptest! {
         let mut bytes = exported(&auto);
         let pos = (seed as usize * 257) % bytes.len();
         bytes[pos] ^= 1 << (seed % 8);
-        if persist::import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).is_ok() {
+        if persist::read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).is_ok() {
             // The only flip that can survive every integrity check is one
             // that flipped nothing.
             prop_assert_eq!(bytes, exported(&auto));
@@ -102,13 +102,13 @@ fn cross_config_and_cross_grammar_imports_are_rejected() {
         ..direct.config()
     };
     assert!(matches!(
-        persist::import_snapshot(&bytes[..], Arc::clone(direct.grammar()), projected),
+        persist::read_tables_from(&bytes[..], Arc::clone(direct.grammar()), projected),
         Err(persist::PersistError::ConfigMismatch { .. })
     ));
 
     let other = Arc::new(odburg::targets::riscish().normalize());
     assert!(matches!(
-        persist::import_snapshot(&bytes[..], other, direct.config()),
+        persist::read_tables_from(&bytes[..], other, direct.config()),
         Err(persist::PersistError::GrammarMismatch { .. })
     ));
 }

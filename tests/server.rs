@@ -300,7 +300,9 @@ fn shutdown_with_pins_straddling_compaction_is_bit_identical() {
 /// warm-starts from them, answering the seen traffic with zero misses.
 #[test]
 fn shutdown_reexports_tables_and_heat_survives_restart() {
-    let dir = std::env::temp_dir().join("odburg-server-reexport");
+    // Per process, so concurrent runs of the suite cannot clobber each
+    // other's tables.
+    let dir = std::env::temp_dir().join(format!("odburg-server-reexport-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -333,7 +335,7 @@ fn shutdown_reexports_tables_and_heat_survives_restart() {
     // enters the grow path.
     let server = SelectorServer::new(ServerConfig {
         workers: 1,
-        tables_dir: Some(dir),
+        tables_dir: Some(dir.clone()),
         ..ServerConfig::default()
     });
     server.register_normal("churn", churn_grammar()).unwrap();
@@ -349,6 +351,7 @@ fn shutdown_reexports_tables_and_heat_survives_restart() {
     assert!(churn.warm_started, "second life must be warm");
     assert_eq!(churn.counters.memo_misses, 0, "{}", churn.counters);
     assert_eq!(churn.counters.states_built, 0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
